@@ -13,6 +13,8 @@ structure the verification checks point by point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from . import univariate
 from .errors import NonGeneralConfiguration, SamplingError
 from .grassmann import (
     Subspace,
@@ -80,14 +82,7 @@ def line_contact_order(v: ProjVariety, p, q):
 
     Infinite contact (line inside the hypersurface) returns None.
     """
-    field = v.field
-    tring = PolyRing(field, ("t",))
-    t = tring.var(0)
-    images = [tring.const(pi) + t * tring.const(qi) for pi, qi in zip(p, q)]
-    g = v.gens[0].substitute(tring, images)
-    if not g:
-        return None
-    return min(e[0] for e in g.terms)
+    return univariate.valuation(univariate.restrict(v.gens[0], p, q))
 
 
 def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
@@ -248,7 +243,7 @@ def _solve_direction(parts, span, m, field, stream):
             continue
         try:
             pts, _ = affine_points_zero_dim(Ideal(small, sub))
-        except Exception:
+        except ValueError:
             continue
         for cp in pts:
             lam = []
@@ -277,13 +272,10 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
     n = v.n
     m = cfg.m
     p, q = cfg.point, cfg.direction_point
-    tring = PolyRing(field, ("t",))
-    t = tring.var(0)
-    line_imgs = [tring.const(pi) + t * tring.const(qi) for pi, qi in zip(p, q)]
-    partials = [v.gens[0].diff(kk).substitute(tring, line_imgs) for kk in range(n + 1)]
+    partials = [univariate.restrict(v.gens[0].diff(kk), p, q) for kk in range(n + 1)]
 
-    def coeff(poly, j):
-        return poly.coeff((j,)) if j >= 0 else field.zero
+    def coeff(f, j):
+        return f[j] if 0 <= j < len(f) else field.zero
 
     rows = []
     for j in range(m):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import univariate
 from .errors import FieldMismatch
 
 
@@ -116,32 +117,9 @@ class Fp:
         return "%d" % self.v
 
     def sqrt(self):
-        """A square root in F_p, or None if not a QR (p odd)."""
-        if self.v == 0:
-            return Fp(0, self.p)
-        if pow(self.v, (self.p - 1) // 2, self.p) != 1:
-            return None
-        if self.p % 4 == 3:
-            r = pow(self.v, (self.p + 1) // 4, self.p)
-            return Fp(r, self.p)
-        # Tonelli-Shanks for p = 1 mod 4
-        q, s = self.p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (self.p - 1) // 2, self.p) != self.p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, self.p), pow(self.v, q, self.p), pow(self.v, (q + 1) // 2, self.p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % self.p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), self.p)
-            m, c = i, b * b % self.p
-            t, r = t * c % self.p, r * b % self.p
-        return Fp(r, self.p)
+        """The smallest square root in F_p, or None if there is none."""
+        found = univariate.roots([-self, Fp(0, self.p), Fp(1, self.p)], GF(self.p))
+        return found[0] if found else None
 
 
 class RationalField:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from . import univariate
 from .errors import NotIsolated, UnsupportedArity
 from .groebner import buchberger, groebner
 from .poly import Ideal, monomial_divides
@@ -107,41 +108,6 @@ def hilbert_dim_degree(ideal: Ideal, budget=None):
     return affine_dim - 1, sum(num.values())
 
 
-def _univariate_valuation_of_gcd(gens):
-    """Valuation at 0 of gcd of univariate polynomials."""
-
-    def val(p):
-        return min(e[0] for e in p.terms)
-
-    def divmod_univ(f, g):
-        ring = f.ring
-        q = ring.zero()
-        r = f
-        dg = g.degree_in(0)
-        while r and r.degree_in(0) >= dg:
-            dr = r.degree_in(0)
-            cr = r.coeff((dr,))
-            cg = g.coeff((dg,))
-            m = ring.monomial((dr - dg,), cr / cg)
-            q = q + m
-            r = r - m * g
-        return q, r
-
-    def gcd(f, g):
-        while g:
-            f, g = g, divmod_univ(f, g)[1]
-        return f
-
-    acc = None
-    for g in gens:
-        if not g:
-            continue
-        acc = g if acc is None else gcd(acc, g)
-    if acc is None or not acc:
-        raise NotIsolated("ideal vanishes identically on the line")
-    return val(acc)
-
-
 def _staircase_count(leads, cap):
     """Number of monomials under the staircase in <= 2 variables."""
     nv = len(leads[0]) if leads else 2
@@ -178,7 +144,10 @@ def local_multiplicity(ideal: Ideal, point, cap=24):
     if not gens:
         raise NotIsolated("zero ideal")
     if nv == 1:
-        v = _univariate_valuation_of_gcd(gens)
+        acc = []
+        for g in gens:
+            acc = univariate.gcd(acc, univariate.coeffs(g))
+        v = univariate.valuation(acc)
         if v == 0:
             raise ValueError("point is not on the zero set")
         return v

@@ -11,10 +11,9 @@ Anything else is reported as inconclusive, never as a refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from . import univariate
 from .errors import CertificateNotApplicable
-from .fields import Fp
 from .grassmann import HomSpace
 from .groebner import groebner
 from .hilbert import hilbert_dim_degree, local_multiplicity
@@ -28,104 +27,18 @@ from .poly import Ideal, PolyRing
 
 def univariate_roots(poly):
     """((root, multiplicity) list, fully_split flag) over the base field."""
-    ring = poly.ring
-    fld = ring.field
-    if not poly:
-        raise ValueError("zero polynomial has every root")
-    roots = []
-    work = poly
-    # strip the root at 0 first
-    v = min(e[0] for e in work.terms)
-    if v:
-        roots.append((fld.zero, v))
-        work = ring.from_terms([((e[0] - v,), c) for e, c in work.terms.items()])
-    candidates = _root_candidates(work)
-    for r in candidates:
+    fld = poly.ring.field
+    work = univariate.coeffs(poly)
+    found = []
+    for r in univariate.roots(work, fld):
         mult = 0
         while True:
-            q = _deflate(work, r)
-            if q is None:
+            q, rem = univariate.quo_rem(work, [-r, fld.one])
+            if rem:
                 break
-            mult += 1
-            work = q
-        if mult:
-            roots.append((r, mult))
-    return roots, work.total_degree() <= 0
-
-
-def _root_candidates(poly):
-    ring = poly.ring
-    fld = ring.field
-    if poly.total_degree() <= 0:
-        return []
-    if fld.kind == "fp":
-        p = fld.p
-        coeffs = [0] * (poly.total_degree() + 1)
-        for e, c in poly.terms.items():
-            coeffs[e[0]] = c.v
-        out = []
-        for t in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * t + c) % p
-            if acc == 0:
-                out.append(Fp(t, p))
-        return out
-    # rationals: clear denominators, rational root theorem
-    den = 1
-    for c in poly.terms.values():
-        den = den * c.denominator // _gcd(den, c.denominator)
-    ints = {e[0]: int(c * den) for e, c in poly.terms.items()}
-    d = max(ints)
-    lead = ints[d]
-    const = ints.get(0, 0)
-    if const == 0:
-        return [Fraction(0)]
-    out = []
-    for p_ in _divisors(abs(const)):
-        for q_ in _divisors(abs(lead)):
-            for s in (1, -1):
-                cand = Fraction(s * p_, q_)
-                if not poly.evaluate([cand]):
-                    if cand not in out:
-                        out.append(cand)
-    return sorted(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _deflate(poly, r):
-    """poly / (u - r) by synthetic division if r is a root, else None."""
-    ring = poly.ring
-    if poly.evaluate([r]):
-        return None
-    d = poly.total_degree()
-    coeffs = [ring.field.zero] * (d + 1)
-    for e, c in poly.terms.items():
-        coeffs[e[0]] = c
-    out = []
-    acc = ring.field.zero
-    for k in range(d, -1, -1):
-        acc = coeffs[k] + acc * r
-        if k:
-            out.append(((k - 1,), acc))
-    return ring.from_terms(out)
+            work, mult = q, mult + 1
+        found.append((r, mult))
+    return found, len(work) == 1
 
 
 def affine_points_zero_dim(ideal: Ideal):
@@ -168,31 +81,14 @@ def affine_points_zero_dim(ideal: Ideal):
                 subbed.append(img.map_to(uring))
         if not subbed:
             raise CertificateNotApplicable("fiber not finite")
-        acc = None
+        acc = []
         for g in subbed:
-            acc = g if acc is None else _poly_gcd_univ(acc, g)
-        uroots, usplit = univariate_roots(acc)
+            acc = univariate.gcd(acc, univariate.coeffs(g))
+        uroots, usplit = univariate_roots(uring.from_terms(((i,), c) for i, c in enumerate(acc)))
         complete = complete and usplit
         for u, _ in uroots:
             pts.append((u, r))
     return pts, complete
-
-
-def _poly_gcd_univ(f, g):
-    while g:
-        f, g = g, _poly_mod_univ(f, g)
-    return f.monic()
-
-
-def _poly_mod_univ(f, g):
-    ring = f.ring
-    dg = g.degree_in(0)
-    r = f
-    while r and r.degree_in(0) >= dg:
-        dr = r.degree_in(0)
-        m = ring.monomial((dr - dg,), r.coeff((dr,)) / g.coeff((dg,)))
-        r = r - m * g
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +219,7 @@ def _point_multiplicity(ideal: Ideal, lam):
     point = [lam[i] * inv for i in range(k) if i != chart]
     try:
         return local_multiplicity(Ideal(small, gens), point)
-    except Exception:
+    except ValueError:
         return None
 
 

@@ -1,15 +1,17 @@
 """Projective varieties as homogeneous ideals.
 
 Smooth-point tests via Jacobian rank, embedded tangent spaces, exact
-point sampling (parametrizations over any field, line scanning over
-prime fields for hypersurfaces), tangent-hyperplane witnesses, and
-dual varieties of complete intersections by Lagrange elimination.
+point sampling (parametrizations over any field, roots of random line
+restrictions over prime fields for hypersurfaces), tangent-hyperplane
+witnesses, and dual varieties of complete intersections by Lagrange
+elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import univariate
 from .errors import SamplingError
 from .grassmann import Subspace, hyperplane_subspace, point_subspace
 from .groebner import eliminate, normal_form
@@ -120,7 +122,8 @@ def sample_smooth_point(v: ProjVariety, seed, height=12):
 
     Parametrized varieties draw parameter values; otherwise, over a
     prime field, hypersurfaces are sliced with random lines and the
-    restricted univariate is scanned for roots.
+    first smooth point among the roots of the restriction, in
+    ascending order of the line parameter, is taken.
     """
     stream = Stream(seed, "smooth-point")
     if v.parametrization is not None:
@@ -140,42 +143,19 @@ def sample_smooth_point(v: ProjVariety, seed, height=12):
     if len(v.gens) != 1:
         raise SamplingError("line scanning supports hypersurfaces only")
     f = v.gens[0]
-    p = v.field.p
-    # scan f(a + t b) over t in F_p with raw int arithmetic
+    field = v.field
     for k in range(SAMPLE_RETRIES):
         s = stream.spawn("line%d" % k)
-        a = [s.randrange(p) for _ in range(v.n + 1)]
-        b = [s.randrange(p) for _ in range(v.n + 1)]
-        coeffs = _restrict_int_coeffs(f, a, b, p)
-        for t in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * t + c) % p
-            if acc == 0:
-                x = tuple(v.field.of((ai + t * bi) % p) for ai, bi in zip(a, b))
-                if any(x) and v.is_smooth_point(x)[0]:
-                    return x
+        a = [field.of(s.randrange(field.p)) for _ in range(v.n + 1)]
+        b = [field.of(s.randrange(field.p)) for _ in range(v.n + 1)]
+        g = univariate.restrict(f, a, b)
+        # a line inside the hypersurface: every t is a root
+        ts = univariate.roots(g, field) if g else map(field.of, range(field.p))
+        for t in ts:
+            x = tuple(ai + t * bi for ai, bi in zip(a, b))
+            if any(x) and v.is_smooth_point(x)[0]:
+                return x
     raise SamplingError("no smooth point found within budget")
-
-
-def _restrict_int_coeffs(f, a, b, p):
-    """Coefficients (ints) of t |-> f(a + t*b) over F_p."""
-    d = f.total_degree()
-    coeffs = [0] * (d + 1)
-    for e, c in f.terms.items():
-        cv = c.v
-        # expand prod_i (a_i + t b_i)^{e_i} as a dense poly in t
-        poly = [cv]
-        for ai, bi, k in zip(a, b, e):
-            for _ in range(k):
-                nxt = [0] * (len(poly) + 1)
-                for j, q in enumerate(poly):
-                    nxt[j] = (nxt[j] + q * ai) % p
-                    nxt[j + 1] = (nxt[j + 1] + q * bi) % p
-                poly = nxt
-        for j, q in enumerate(poly):
-            coeffs[j] = (coeffs[j] + q) % p
-    return coeffs
 
 
 def tangent_hyperplanes_basis(v: ProjVariety, x):

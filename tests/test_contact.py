@@ -40,10 +40,11 @@ def test_fermat_cubic_m3_nested_flag():
 
 
 def test_contact_valuation_exact():
-    v = _fermat_cubic(F)
-    for m in (2, 3):
-        cfg = sample_contact_line(v, m, seed=11 + m)
-        assert line_contact_order(v, cfg.point, cfg.direction_point) == m
+    for field in (F, GF(2**31 - 1)):
+        v = _fermat_cubic(field)
+        for m in (2, 3):
+            cfg = sample_contact_line(v, m, seed=11 + m)
+            assert line_contact_order(v, cfg.point, cfg.direction_point) == m
 
 
 def test_m_exceeding_degree_rejected():

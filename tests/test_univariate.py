@@ -1,0 +1,141 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from grassgeo import univariate as U
+from grassgeo.fields import GF, QQ
+from grassgeo.poly import PolyRing
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101)
+
+
+def _brute_force_roots(f, field):
+    return [field.of(x) for x in range(field.p) if not U.evaluate(f, field.of(x))]
+
+
+def _random_poly(rng, field, degree):
+    f = [field.of(rng.randrange(field.p)) for _ in range(degree)]
+    return f + [field.of(rng.randrange(1, field.p))]
+
+
+def _seeded_fp_polys(field, rng):
+    t = PolyRing(field, ("t",)).var(0)
+    for degree in range(1, 8):
+        for _ in range(6):
+            yield _random_poly(rng, field, degree)
+        # zero constant term and repeated roots
+        r, s = rng.randrange(field.p), rng.randrange(field.p)
+        yield U.coeffs(t ** rng.randrange(1, 3) * (t - r) ** 2 * (t - s) ** (degree % 3))
+        yield U.coeffs((t - r) ** degree)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_fp_roots_match_brute_force(p):
+    field = GF(p)
+    rng = random.Random(p)
+    checked = 0
+    for f in _seeded_fp_polys(field, rng):
+        assert U.roots(f, field) == _brute_force_roots(f, field)
+        checked += len(f) - 1 >= p
+    assert checked or p > 7  # degrees reach 7
+
+
+def test_rational_roots_of_known_factors():
+    R = PolyRing(QQ, ("t",))
+    t = R.var(0)
+    rng = random.Random(5)
+    for _ in range(20):
+        want = {Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))}
+        f = R.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for r in want:
+            f = f * (t - R.const(r)) ** rng.randint(1, 2)
+        for _ in range(rng.randint(0, 2)):
+            f = f * (t**2 + R.const(rng.randint(1, 7)))  # no real roots
+        f = f * (t**2 - 2)  # irrational roots
+        got = U.roots(U.coeffs(f), QQ)
+        zero = [Fraction(0)] if 0 in want else []
+        assert got == zero + sorted(want - {0})
+        assert all(type(r) is Fraction for r in got)
+
+
+def test_fp_roots_are_rational_roots_mod_p():
+    rng = random.Random(11)
+    R = PolyRing(QQ, ("t",))
+    t = R.var(0)
+    for p in (7, 31, 101, 32003):
+        field = GF(p)
+        for _ in range(10):
+            want = {rng.randint(-40, 40) for _ in range(rng.randint(1, 5))}
+            if len({r % p for r in want}) != len(want):
+                continue
+            f = R.one()
+            for r in want:
+                f = f * (t - r)
+            q_roots = U.roots(U.coeffs(f), QQ)
+            fp_roots = U.roots([field.of(c) for c in U.coeffs(f)], field)
+            assert [r.v for r in fp_roots] == sorted(int(r) % p for r in q_roots)
+
+
+def test_roots_at_large_prime():
+    field = GF(2**31 - 1)
+    R = PolyRing(field, ("t",))
+    t = R.var(0)
+    f = (t - 3) * (t - 2**30) ** 2 * (t**2 - 7)  # 7 is not a square mod 2^31 - 1
+    assert [r.v for r in U.roots(U.coeffs(f), field)] == [3, 2**30]
+
+
+def test_zero_polynomial_has_every_root():
+    with pytest.raises(ValueError):
+        U.roots([], GF(5))
+
+
+def test_gcd_and_valuation():
+    for field in (QQ, GF(101)):
+        R = PolyRing(field, ("t",))
+        t = R.var(0)
+        f = U.coeffs(3 * t**2 * (t - 1) * (t - 2))
+        g = U.coeffs(5 * t * (t - 2) * (t + 3))
+        assert U.gcd(f, g) == U.coeffs(t * (t - 2))
+        assert U.gcd(f, []) == U.gcd([], f) == U.coeffs(t**2 * (t - 1) * (t - 2))
+        assert U.gcd([], []) == []
+        assert U.gcd(f, U.coeffs(t + 5)) == [field.one]
+        assert U.valuation(f) == 2 and U.valuation(g) == 1
+        assert U.valuation(U.coeffs(t + 5)) == 0 and U.valuation([]) is None
+
+
+def test_quo_rem_identity():
+    rng = random.Random(3)
+    field = GF(31)
+    R = PolyRing(field, ("t",))
+    for _ in range(50):
+        f = _random_poly(rng, field, rng.randrange(0, 8))
+        g = _random_poly(rng, field, rng.randrange(0, 4))
+        q, r = U.quo_rem(f, g)
+        assert len(r) < len(g)
+        as_poly = [R.from_terms(((i,), c) for i, c in enumerate(h)) for h in (f, g, q, r)]
+        assert as_poly[0] == as_poly[2] * as_poly[1] + as_poly[3]
+    with pytest.raises(ZeroDivisionError):
+        U.quo_rem([field.one], [])
+
+
+def test_restrict_to_line():
+    field = GF(101)
+    R = PolyRing(field, ("x", "y", "z"))
+    x, y, z = R.gens()
+    f = x**3 + 2 * x * y * z - z**2 * y + 7
+    a, b = [3, 5, 9], [1, 0, 4]
+    got = U.restrict(f, a, b)
+    for t in range(10):
+        point = [field.of(ai + t * bi) for ai, bi in zip(a, b)]
+        assert U.evaluate(got, field.of(t)) == f.evaluate(point)
+    assert U.restrict(x * y - y * x, a, b) == []
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 13, 101))
+def test_fp_sqrt_is_smallest_root(p):
+    field = GF(p)
+    for a in range(p):
+        squares = [x for x in range(p) if x * x % p == a]
+        s = field.of(a).sqrt()
+        assert (s.v if s is not None else None) == (squares[0] if squares else None)
