@@ -74,7 +74,7 @@ def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
     if not any(x):
         raise NonGeneralConfiguration("parametrization hit the base locus")
     nv = v.ring.nvars
-    jac = Matrix(ring, [[g.diff(i).evaluate(x) for i in range(nv)] for g in v.gens])
+    jac = Matrix(ring, [[g.diff(i).evaluate(x) for i in range(nv)] for g in v.gens], nv)
     tangent = jac.nullspace()
     if tangent.nrows != v.dimension() + 1:
         raise NonGeneralConfiguration("tangent rank drop at sample")
@@ -134,8 +134,7 @@ def _rank_one_conormals(adapted: AdaptedBasis, kernel_quotient_rows, image_point
     """Conormal maps c (x) x_A with the given quotient rows in the kernel."""
     a = adapted
     x_a = a.subspace_coords(image_point)
-    kq = Matrix(a.field, kernel_quotient_rows)
-    cs = kq.nullspace() if kq.nrows else Matrix.identity(a.field, a.n - a.ell)
+    cs = Matrix(a.field, kernel_quotient_rows, a.n - a.ell).nullspace()
     mats = []
     for c in cs.rows:
         mats.append(Matrix(a.field, [[ci * xj for xj in x_a] for ci in c]))
@@ -284,7 +283,7 @@ def plane_in_hyperplane_contractions(big_ring, w_polys, ell, n, pvar_of):
     return out
 
 
-def chow_hurwitz_ideal(v: ProjVariety, ell, budget=None) -> Ideal:
+def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
     """Chow (ell = codim-1) or Hurwitz (ell = codim) ideal in Pluecker
     coordinates, reduced modulo the Pluecker relations.
 
@@ -333,15 +332,14 @@ def chow_hurwitz_ideal(v: ProjVariety, ell, budget=None) -> Ideal:
         else:
             raise ValueError("tangency encoding needs a hypersurface or a parametrized curve")
 
-    kwargs = {} if budget is None else {"budget": budget}
-    elim = eliminate(Ideal(big, gens), pnames, **kwargs)
+    elim = eliminate(Ideal(big, gens), pnames)
     rel = pluecker_relations(field, ell, n)
-    rel_gb = groebner(rel, **kwargs) if rel.gens else rel
+    rel_gb = groebner(rel) if rel.gens else rel
     out = []
     seen = set()
     for g in elim.gens:
         moved = g.map_to(pring)
-        red = normal_form(moved, rel_gb, **kwargs) if rel.gens else moved
+        red = normal_form(moved, rel_gb) if rel.gens else moved
         if red and not red.is_constant():
             red = red.monic()
             key = frozenset(red.terms.items())

@@ -3,9 +3,9 @@
 All input/output is JSON.  Reports are deterministic given (inputs,
 seed, field): keys are sorted, rationals are printed as "num/den"
 strings, Pluecker vectors follow the recorded lexicographic index-set
-order, and wall time goes to stderr unless --timing opts it into the
-payload.  Exit codes: 0 all checks pass, 1 failed checks, 2 input
-errors, 3 budget exhaustion.
+order, and wall time goes to stderr, never into the payload.  Exit
+codes: 0 all checks pass, 1 failed checks, 2 input errors, 3 budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class CheckList:
         return all(c["ok"] for c in self.items)
 
 
-def _sampled_members(v, ell, count, seed, tangential):
-    """Subspaces on the associated family (incident or tangent samples)."""
+def _sampled_members(v, ell, count, seed):
+    """Subspaces on the associated family, one per seeded sample."""
     out = []
     for k in range(count):
         s = sample_associated(v, ell, seed=Stream(seed, "member", k).seed)
@@ -154,7 +154,7 @@ def _random_subspaces(v, ell, count, seed):
     return out
 
 
-def _form_report(v, ell, args, checks, expected_name):
+def _form_report(v, ell, args, checks):
     ideal = chow_hurwitz_ideal(v, ell)
     checks.add("nonempty ideal", bool(ideal.gens))
     form = ideal.gens[0] if ideal.gens else None
@@ -172,7 +172,7 @@ def _form_report(v, ell, args, checks, expected_name):
         big = Ideal(ideal.ring, list(rel.gens) + [form])
         principal = all(not normal_form(g, big) for g in ideal.gens[1:])
         checks.add("principal modulo Pluecker relations", principal)
-        members = _sampled_members(v, ell, args.samples, args.seed, expected_name == "hurwitz")
+        members = _sampled_members(v, ell, args.samples, args.seed)
         vanish = sum(1 for s in members if not evaluate_pluecker(form, s))
         checks.add("vanishes on sampled members", vanish == len(members), "%d/%d" % (vanish, len(members)))
         randoms = _random_subspaces(v, ell, args.samples, args.seed + 1)
@@ -186,14 +186,14 @@ def _form_report(v, ell, args, checks, expected_name):
 def cmd_chow(args, field):
     v = load_variety(args.variety, field)
     checks = CheckList()
-    results = _form_report(v, v.codim() - 1, args, checks, "chow")
+    results = _form_report(v, v.codim() - 1, args, checks)
     return results, checks
 
 
 def cmd_hurwitz(args, field):
     v = load_variety(args.variety, field)
     checks = CheckList()
-    results = _form_report(v, v.codim(), args, checks, "hurwitz")
+    results = _form_report(v, v.codim(), args, checks)
     return results, checks
 
 
@@ -375,7 +375,6 @@ def build_parser():
         p.add_argument("--ell", type=int, default=1)
         p.add_argument("--m", type=int, default=2)
         p.add_argument("--k", type=int, default=1)
-        p.add_argument("--timing", action="store_true", help="include wall time in the report")
     return ap
 
 
@@ -397,8 +396,6 @@ def run(argv=None):
         "checks": checks.items,
         "ok": checks.all_ok(),
     }
-    if args.timing:
-        report["wall_time_ms"] = elapsed_ms
     print(json.dumps(report, sort_keys=True, indent=1))
     print("elapsed %d ms" % elapsed_ms, file=sys.stderr)
     return 0 if checks.all_ok() else 1

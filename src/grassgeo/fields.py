@@ -17,16 +17,34 @@ from . import univariate
 from .errors import FieldMismatch
 
 
+# Miller-Rabin to the first 13 prime bases is exact below the least
+# strong pseudoprime to all of them (Sorenson & Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test; ValueError for n the test cannot decide."""
+    if n >= _MR_LIMIT:
+        raise ValueError("primality of %d is not decided: moduli must be below %d" % (n, _MR_LIMIT))
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

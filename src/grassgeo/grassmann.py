@@ -33,9 +33,9 @@ class Subspace:
     __slots__ = ("field", "n", "ell", "basis", "_pluecker")
 
     def __init__(self, field, n, basis: Matrix, check=True):
-        if basis.nrows and basis.ncols != n + 1:
+        if basis.ncols != n + 1:
             raise ValueError("basis must have n+1 columns")
-        if check and basis.nrows and basis.rank() != basis.nrows:
+        if check and basis.rank() != basis.nrows:
             raise ValueError("basis matrix is rank deficient")
         self.field = field
         self.n = n
@@ -47,13 +47,10 @@ class Subspace:
     def pluecker(self):
         if self._pluecker is None:
             k = self.ell + 1
-            if k == 0:
-                self._pluecker = (self.field.one,)
-            else:
-                self._pluecker = tuple(
-                    self.basis.submatrix(range(k), cols).det()
-                    for cols in combinations(range(self.n + 1), k)
-                )
+            self._pluecker = tuple(
+                self.basis.submatrix(range(k), cols).det()
+                for cols in combinations(range(self.n + 1), k)
+            )
         return self._pluecker
 
     def column_sets(self):
@@ -63,20 +60,14 @@ class Subspace:
         return row_space_contains(self.basis, [self.field.of(x) for x in v])
 
     def contains(self, other: "Subspace") -> bool:
-        if other.ell == -1:
-            return True
         return self.basis.stack(other.basis).rank() == self.basis.rank()
 
     def same_as(self, other: "Subspace") -> bool:
         if self.n != other.n or self.ell != other.ell:
             return False
-        if self.ell == -1:
-            return True
         return self.basis.row_space_basis() == other.basis.row_space_basis()
 
     def reduced(self) -> "Subspace":
-        if self.ell == -1:
-            return self
         return Subspace(self.field, self.n, self.basis.row_space_basis(), check=False)
 
     def __repr__(self):
@@ -98,33 +89,19 @@ def hyperplane_subspace(field, normal) -> Subspace:
 
 
 def empty_subspace(field, n) -> Subspace:
-    return Subspace(field, n, Matrix(field, []), check=False)
+    return Subspace(field, n, Matrix.zero(field, 0, n + 1), check=False)
 
 
 def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    if a.ell == -1:
-        return b.reduced()
-    if b.ell == -1:
-        return a.reduced()
     return Subspace(a.field, a.n, a.basis.stack(b.basis).row_space_basis(), check=False)
 
 
 def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
     """Row-space intersection: solve x*A = y*B."""
-    if a.ell == -1 or b.ell == -1:
-        return empty_subspace(a.field, a.n)
     stacked = a.basis.stack(b.basis).transpose()  # columns: A rows then B rows
     ker = stacked.nullspace()  # rows (x, -y) with x*A = y*B
-    rows = []
-    for v in ker.rows:
-        x = v[: a.basis.nrows]
-        rows.append(list(a.basis.apply_row(x)))
-    if not rows:
-        return empty_subspace(a.field, a.n)
-    m = Matrix(a.field, rows).row_space_basis()
-    if m.nrows == 0:
-        return empty_subspace(a.field, a.n)
-    return Subspace(a.field, a.n, m, check=False)
+    xs = ker.submatrix(range(ker.nrows), range(a.basis.nrows))
+    return Subspace(a.field, a.n, (xs @ a.basis).row_space_basis(), check=False)
 
 
 def pluecker_embed(field, basis_matrix: Matrix) -> Subspace:
@@ -265,7 +242,6 @@ def adapted_basis(s: Subspace) -> AdaptedBasis:
     k = s.ell + 1
     n = s.n
     field = s.field
-    piv, _ = s.basis.rref()
     for comp in combinations(range(n + 1), n + 1 - k):
         kept = tuple(c for c in range(n + 1) if c not in comp)
         if s.basis.submatrix(range(k), kept).det():
@@ -275,7 +251,7 @@ def adapted_basis(s: Subspace) -> AdaptedBasis:
                 r = [z] * (n + 1)
                 r[col] = o
                 unit_rows.append(r)
-            full = s.basis.stack(Matrix(field, unit_rows)) if k else Matrix(field, unit_rows)
+            full = s.basis.stack(Matrix(field, unit_rows, n + 1))
             return AdaptedBasis(s, comp, full, full.inverse())
     raise ValueError("no completion found (rank-deficient basis?)")
 
@@ -284,14 +260,38 @@ TANGENT = "tangent"
 CONORMAL = "conormal"
 
 
+def _hom_shape(direction, ell, n):
+    """Matrix shape of a tangent or conormal vector at an ell-plane of P^n."""
+    return (ell + 1, n - ell) if direction == TANGENT else (n - ell, ell + 1)
+
+
+def _flat(m: Matrix):
+    return [x for r in m.rows for x in r]
+
+
+def _unflat(field, v, shape):
+    nr, nc = shape
+    return Matrix(field, [v[i * nc : (i + 1) * nc] for i in range(nr)], nc)
+
+
+def _span_in_subspace(a: AdaptedBasis, coords: Matrix) -> Subspace:
+    """Span of the vectors with these coordinates in the rows of L."""
+    return Subspace(a.field, a.n, (coords @ a.subspace.basis).row_space_basis(), check=False)
+
+
+def _subspace_plus_lifts(a: AdaptedBasis, qcoords: Matrix) -> Subspace:
+    """L plus lifts of the quotient classes with these coordinates."""
+    lifts = Matrix(a.field, [a.lift_quotient(v) for v in qcoords.rows], a.n + 1)
+    return Subspace(a.field, a.n, a.subspace.basis.stack(lifts).row_space_basis(), check=False)
+
+
 class Hom:
     """A tangent or conormal vector at L, as a matrix in an adapted basis."""
 
     __slots__ = ("direction", "matrix", "adapted")
 
     def __init__(self, direction, matrix: Matrix, adapted: AdaptedBasis):
-        ell, n = adapted.ell, adapted.n
-        want = (ell + 1, n - ell) if direction == TANGENT else (n - ell, ell + 1)
+        want = _hom_shape(direction, adapted.ell, adapted.n)
         if (matrix.nrows, matrix.ncols) != want:
             raise ValueError("hom matrix shape %r, expected %r" % ((matrix.nrows, matrix.ncols), want))
         self.direction = direction
@@ -311,17 +311,10 @@ class Hom:
     def kernel_subspace(self) -> Subspace:
         """Tangent: kernel inside L.  Conormal: preimage in P^n of the
         quotient kernel (a subspace containing L)."""
-        a = self.adapted
         ker = self.kernel_in_domain()
         if self.direction == TANGENT:
-            rows = [a.subspace.basis.apply_row(v) for v in ker.rows]
-            if not rows:
-                return empty_subspace(a.field, a.n)
-            return Subspace(a.field, a.n, Matrix(a.field, rows).row_space_basis(), check=False)
-        rows = [a.lift_quotient(v) for v in ker.rows]
-        base = a.subspace.basis
-        m = base if not rows else base.stack(Matrix(a.field, rows))
-        return Subspace(a.field, a.n, m.row_space_basis(), check=False)
+            return _span_in_subspace(self.adapted, ker)
+        return _subspace_plus_lifts(self.adapted, ker)
 
     def image_in_codomain(self):
         """Row space of the matrix: coordinates in the codomain basis."""
@@ -330,20 +323,13 @@ class Hom:
     def image_subspace(self) -> Subspace:
         """Tangent: preimage in P^n of the quotient image (contains L).
         Conormal: image inside L."""
-        a = self.adapted
         img = self.image_in_codomain()
         if self.direction == TANGENT:
-            rows = [a.lift_quotient(v) for v in img.rows]
-            base = a.subspace.basis
-            m = base if not rows else base.stack(Matrix(a.field, rows))
-            return Subspace(a.field, a.n, m.row_space_basis(), check=False)
-        rows = [a.subspace.basis.apply_row(v) for v in img.rows]
-        if not rows:
-            return empty_subspace(a.field, a.n)
-        return Subspace(a.field, a.n, Matrix(a.field, rows).row_space_basis(), check=False)
+            return _subspace_plus_lifts(self.adapted, img)
+        return _span_in_subspace(self.adapted, img)
 
     def flatten(self):
-        return tuple(x for r in self.matrix.rows for x in r)
+        return tuple(_flat(self.matrix))
 
     def __repr__(self):
         return "Hom(%s, %d x %d)" % (self.direction, self.matrix.nrows, self.matrix.ncols)
@@ -355,23 +341,19 @@ class HomSpace:
     __slots__ = ("direction", "adapted", "mats")
 
     def __init__(self, direction, adapted, mats, reduce=True):
-        shape = None
-        for m in mats:
-            if shape is None:
-                shape = (m.nrows, m.ncols)
-            elif (m.nrows, m.ncols) != shape:
-                raise ValueError("mixed hom shapes")
         self.direction = direction
         self.adapted = adapted
-        if reduce and mats:
-            flat = Matrix(adapted.field, [[x for r in m.rows for x in r] for m in mats])
-            red = flat.row_space_basis()
-            nr, nc = shape
-            mats = [
-                Matrix(adapted.field, [row[i * nc : (i + 1) * nc] for i in range(nr)])
-                for row in red.rows
-            ]
+        shape = self.shape()
+        if any((m.nrows, m.ncols) != shape for m in mats):
+            raise ValueError("hom matrix shape differs from %r" % (shape,))
+        if reduce:
+            red = self._flat_matrix(mats).row_space_basis()
+            mats = [_unflat(adapted.field, row, shape) for row in red.rows]
         self.mats = tuple(mats)
+
+    def _flat_matrix(self, mats):
+        nr, nc = self.shape()
+        return Matrix(self.adapted.field, [_flat(m) for m in mats], nr * nc)
 
     @property
     def dim(self):
@@ -381,20 +363,10 @@ class HomSpace:
         return [Hom(self.direction, m, self.adapted) for m in self.mats]
 
     def shape(self):
-        if self.mats:
-            return (self.mats[0].nrows, self.mats[0].ncols)
-        ell, n = self.adapted.ell, self.adapted.n
-        return (ell + 1, n - ell) if self.direction == TANGENT else (n - ell, ell + 1)
+        return _hom_shape(self.direction, self.adapted.ell, self.adapted.n)
 
     def contains(self, hom: Hom) -> bool:
-        if not self.mats:
-            return hom.is_zero()
-        flat = Matrix(
-            self.adapted.field,
-            [[x for r in m.rows for x in r] for m in self.mats],
-        )
-        v = [x for r in hom.matrix.rows for x in r]
-        return row_space_contains(flat, v)
+        return row_space_contains(self._flat_matrix(self.mats), hom.flatten())
 
     def same_span(self, other: "HomSpace") -> bool:
         return self.direction == other.direction and self.mats == other.mats
@@ -428,7 +400,7 @@ def stiefel_differential(adapted: AdaptedBasis, m: Matrix) -> Hom:
     if m.field != adapted.field:
         raise FieldMismatch("field mismatch in stiefel differential")
     rows = [adapted.quotient_coords(r) for r in m.rows]
-    return Hom(TANGENT, Matrix(adapted.field, rows), adapted)
+    return Hom(TANGENT, Matrix(adapted.field, rows, adapted.n - adapted.ell), adapted)
 
 
 def tangent_from_action(adapted: AdaptedBasis, domain_rows: Matrix, image_rows: Matrix) -> Hom:
@@ -445,7 +417,7 @@ def tangent_from_action(adapted: AdaptedBasis, domain_rows: Matrix, image_rows: 
         if x is None:
             raise ValueError("domain rows do not span the subspace")
         coeff_rows.append(x)
-    lifts = Matrix(a.field, coeff_rows) @ image_rows
+    lifts = Matrix(a.field, coeff_rows, domain_rows.nrows) @ image_rows
     return stiefel_differential(a, lifts)
 
 
@@ -456,11 +428,11 @@ def conormal_from_action(adapted: AdaptedBasis, domain_lifts: Matrix, image_rows
     quotient; image_rows: their images inside the subspace.
     """
     a = adapted
-    r = Matrix(a.field, [a.quotient_coords(v) for v in domain_lifts.rows])
+    r = Matrix(a.field, [a.quotient_coords(v) for v in domain_lifts.rows], a.n - a.ell)
     e = r.inverse()  # unit class j = sum_k e[j,k] * class(domain_k)
     imgs = e @ image_rows
     n_rows = [a.subspace_coords(v) for v in imgs.rows]
-    return Hom(CONORMAL, Matrix(a.field, n_rows), adapted)
+    return Hom(CONORMAL, Matrix(a.field, n_rows, a.ell + 1), adapted)
 
 
 def rebase_hom(h: Hom, target: AdaptedBasis) -> Hom:
@@ -469,11 +441,12 @@ def rebase_hom(h: Hom, target: AdaptedBasis) -> Hom:
     if not src.subspace.same_as(target.subspace):
         raise ValueError("rebase requires equal subspaces")
     if h.direction == TANGENT:
-        lifts = Matrix(src.field, [src.lift_quotient(r) for r in h.matrix.rows])
+        lifts = Matrix(src.field, [src.lift_quotient(r) for r in h.matrix.rows], src.n + 1)
         return tangent_from_action(target, src.subspace.basis, lifts)
     lifts = Matrix(
         src.field,
         [src.lift_quotient(v) for v in Matrix.identity(src.field, src.n - src.ell).rows],
+        src.n + 1,
     )
     images = h.matrix @ src.subspace.basis
     return conormal_from_action(target, lifts, images)
@@ -498,41 +471,20 @@ def trace_annihilator(space: HomSpace) -> HomSpace:
     operation twice returns the original span.
     """
     a = space.adapted
-    ell, n = a.ell, a.n
-    total = (ell + 1) * (n - ell)
     out_dir = CONORMAL if space.direction == TANGENT else TANGENT
-    out_shape = ((n - ell), (ell + 1)) if out_dir == CONORMAL else ((ell + 1), (n - ell))
-    if not space.mats:
-        z = a.field.zero
-        full = []
-        for k in range(total):
-            flat = [z] * total
-            flat[k] = a.field.one
-            full.append(flat)
-        mats = [
-            Matrix(a.field, [row[i * out_shape[1] : (i + 1) * out_shape[1]] for i in range(out_shape[0])])
-            for row in full
-        ]
-        return HomSpace(out_dir, a, mats)
-    rows = []
-    for m in space.mats:
-        # coefficient of unknown[j,i] (row-major in the output shape) is m[i,j]
-        mt = m.transpose()
-        rows.append([x for r in mt.rows for x in r])
-    ker = Matrix(a.field, rows).nullspace()
-    mats = [
-        Matrix(a.field, [v[i * out_shape[1] : (i + 1) * out_shape[1]] for i in range(out_shape[0])])
-        for v in ker.rows
-    ]
-    return HomSpace(out_dir, a, mats)
+    out_shape = _hom_shape(out_dir, a.ell, a.n)
+    # coefficient of unknown[j,i] (row-major in the output shape) is m[i,j]
+    rows = [_flat(m.transpose()) for m in space.mats]
+    ker = Matrix(a.field, rows, out_shape[0] * out_shape[1]).nullspace()
+    return HomSpace(out_dir, a, [_unflat(a.field, v, out_shape) for v in ker.rows])
 
 
 def homs_with_kernel_containing(adapted: AdaptedBasis, inner: Subspace) -> HomSpace:
     """All tangent homs vanishing on a subspace of L (an alpha-space
     when inner is a hyperplane of L)."""
     a = adapted
-    pc = Matrix(a.field, [a.subspace_coords(r) for r in inner.basis.rows])
-    left = pc.nullspace() if pc.nrows else Matrix.identity(a.field, a.ell + 1)
+    pc = Matrix(a.field, [a.subspace_coords(r) for r in inner.basis.rows], a.ell + 1)
+    left = pc.nullspace()
     z = a.field.zero
     mats = []
     for u in left.rows:
@@ -551,7 +503,7 @@ def homs_with_image_in(adapted: AdaptedBasis, outer: Subspace) -> HomSpace:
     """All tangent homs with image inside (outer + L)/L (a beta-space
     when outer has dimension ell+1 and contains L)."""
     a = adapted
-    q = Matrix(a.field, [a.quotient_coords(r) for r in outer.basis.rows]).row_space_basis()
+    q = Matrix(a.field, [a.quotient_coords(r) for r in outer.basis.rows], a.n - a.ell).row_space_basis()
     z = a.field.zero
     mats = []
     for i in range(a.ell + 1):
@@ -569,10 +521,6 @@ def perp_dual(s: Subspace) -> Subspace:
     perp_dual(perp_dual(s)) has the same row space as s; the perp of
     the full space is the empty subspace (dimension -1).
     """
-    if s.ell == s.n:
-        return empty_subspace(s.field, s.n)
-    if s.ell == -1:
-        return Subspace(s.field, s.n, Matrix.identity(s.field, s.n + 1), check=False)
     return Subspace(s.field, s.n, s.basis.nullspace(), check=False)
 
 
@@ -587,26 +535,20 @@ def perp_dual_hom(h: Hom) -> Hom:
     field = a.field
     ell, n = a.ell, a.n
     ga = a.full_inv.transpose()  # rows: dual basis of the adapted rows
-    dual_sub_rows = [ga.rows[i] for i in range(ell + 1, n + 1)]  # basis of Ann(L)
-    dual_quot_rows = [ga.rows[i] for i in range(ell + 1)]  # classes spanning K*/Ann(L)
-    perp = Subspace(field, n, Matrix(field, dual_sub_rows), check=False)
-    pa = adapted_basis(perp)
+    dual_sub = ga.submatrix(range(ell + 1, n + 1), range(n + 1))  # basis of Ann(L)
+    dual_quot = ga.submatrix(range(ell + 1), range(n + 1))  # classes spanning K*/Ann(L)
+    pa = adapted_basis(Subspace(field, n, dual_sub, check=False))
     m = h.matrix
     if h.direction == TANGENT:
         # phi*(dual of quotient class j) = sum_i M[i,j] * (dual of A_i)
-        domain = Matrix(field, dual_sub_rows)
-        images = m.transpose() @ Matrix(field, dual_quot_rows)
-        return tangent_from_action(pa, domain, images)
+        return tangent_from_action(pa, dual_sub, m.transpose() @ dual_quot)
     # conormal: psi*(class of dual A_i) = sum_j M[j,i] * (dual of quotient class j)
-    domain = Matrix(field, dual_quot_rows)
-    images = m.transpose() @ Matrix(field, dual_sub_rows)
-    return conormal_from_action(pa, domain, images)
+    return conormal_from_action(pa, dual_quot, m.transpose() @ dual_sub)
 
 
 def perp_dual_space(space: HomSpace) -> HomSpace:
     homs = [perp_dual_hom(h) for h in space.homs()]
     if not homs:
-        ell, n = space.adapted.ell, space.adapted.n
         perp = perp_dual(space.adapted.subspace)
         return HomSpace(space.direction, adapted_basis(perp), [])
     return HomSpace(homs[0].direction, homs[0].adapted, [h.matrix for h in homs])

@@ -161,31 +161,31 @@ def _autoreduce(basis, bud):
     return basis
 
 
-def groebner(ideal: Ideal, order=None, budget=DEFAULT_BUDGET) -> Ideal:
+def groebner(ideal: Ideal, order=None) -> Ideal:
     """Reduced Groebner basis of the ideal as a new Ideal (cached)."""
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     cached = ideal.cached_basis(ring.order)
     if cached is not None:
         return cached
     gens = [g if g.ring == ring else Poly(ring, dict(g.terms)) for g in ideal.gens]
-    gb = buchberger(gens, budget=budget)
+    gb = buchberger(gens)
     out = Ideal(ring, gb)
     out.cache_basis(ring.order, out)
     ideal.cache_basis(ring.order, out)
     return out
 
 
-def normal_form(p: Poly, ideal: Ideal, budget=DEFAULT_BUDGET) -> Poly:
+def normal_form(p: Poly, ideal: Ideal) -> Poly:
     """Remainder of p modulo the ideal's Groebner basis; 0 iff p is a member."""
-    gb = groebner(ideal, order=ideal.ring.order, budget=budget)
+    gb = groebner(ideal, order=ideal.ring.order)
     q = p if p.ring == gb.ring else Poly(gb.ring, dict(p.terms))
     if q.ring != gb.ring:
         raise FieldMismatch("polynomial not in the ideal's ring")
-    r = _reduce_full(q, list(gb.gens), _Budget(budget))
+    r = _reduce_full(q, list(gb.gens), _Budget(DEFAULT_BUDGET))
     return r if p.ring == r.ring else Poly(p.ring, dict(r.terms))
 
 
-def eliminate(ideal: Ideal, keep_vars, budget=DEFAULT_BUDGET) -> Ideal:
+def eliminate(ideal: Ideal, keep_vars) -> Ideal:
     """Elimination ideal in the subring of keep_vars.
 
     Uses a block order with the eliminated variables in the leading
@@ -200,7 +200,7 @@ def eliminate(ideal: Ideal, keep_vars, budget=DEFAULT_BUDGET) -> Ideal:
     drop = [v for v in ring.vars if v not in keep]
     reordered = PolyRing(ring.field, tuple(drop) + tuple(k for k in ring.vars if k in keep), BlockOrder(len(drop)))
     moved = [g.map_to(reordered) for g in ideal.gens]
-    gb = buchberger(moved, budget=budget)
+    gb = buchberger(moved)
     kept_ring = PolyRing(ring.field, tuple(v for v in ring.vars if v in keep), ring.order)
     ndrop = len(drop)
     out = []
@@ -208,7 +208,3 @@ def eliminate(ideal: Ideal, keep_vars, budget=DEFAULT_BUDGET) -> Ideal:
         if all(all(x == 0 for x in e[:ndrop]) for e in g.terms):
             out.append(g.map_to(kept_ring))
     return Ideal(kept_ring, out)
-
-
-def ideal_member(p: Poly, ideal: Ideal, budget=DEFAULT_BUDGET) -> bool:
-    return not normal_form(p, ideal, budget=budget)

@@ -80,7 +80,7 @@ def _divide_one_minus_t(num):
     return out
 
 
-def hilbert_dim_degree(ideal: Ideal, budget=None):
+def hilbert_dim_degree(ideal: Ideal):
     """(projective dimension, degree) of Z(ideal); (-1, 0) when empty.
 
     Requires homogeneous generators.
@@ -88,8 +88,7 @@ def hilbert_dim_degree(ideal: Ideal, budget=None):
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise ValueError("hilbert_dim_degree requires homogeneous generators")
-    kwargs = {} if budget is None else {"budget": budget}
-    gb = groebner(ideal, **kwargs)
+    gb = groebner(ideal)
     n = ideal.ring.nvars
     if any(g.is_constant() for g in gb.gens):
         return -1, 0  # unit ideal: empty zero set

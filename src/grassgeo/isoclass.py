@@ -406,12 +406,10 @@ def segre_tangency_certificate(space: HomSpace) -> SegreCertificate:
         raise CertificateNotApplicable("empty span")
     fld = space.adapted.field
     common = _common_kernel_rows(space)
-    reduced = []
-    for m in space.mats:
-        # restrict to a complement of the common kernel
-        compl = _complement_rows(common, m.nrows, fld)
-        reduced.append(compl @ m)
-    nr = reduced[0].nrows
+    # restrict to a complement of the common kernel
+    keep = _complement_projection(common, space.mats[0].nrows, fld)
+    reduced = [keep @ m for m in space.mats]
+    nr = reduced[0].nrows - common.nrows
     nc = reduced[0].ncols
     seg_codim = (nr - 1) * (nc - 1)
     if k - 1 != seg_codim:
@@ -461,16 +459,14 @@ def segre_tangency_certificate(space: HomSpace) -> SegreCertificate:
     )
 
 
-def _complement_rows(kernel_rows: Matrix, dim, fld):
-    """Rows completing the kernel to the full domain (unit vectors)."""
-    piv = set()
-    if kernel_rows.nrows:
-        piv = set(kernel_rows.rref()[0])
-    rows = []
+def _complement_projection(kernel_rows: Matrix, dim, fld):
+    """Diagonal projection onto the unit vectors off the kernel's pivots.
+
+    A row of a generator at a pivot column of the (reduced echelon)
+    common kernel is a combination of its rows off the pivots, so
+    zeroing those rows keeps every rank and every nonzero 2x2 minor of
+    the rows that remain, while the matrices keep their Hom shape.
+    """
+    piv = set(kernel_rows.rref()[0])
     z, o = fld.zero, fld.one
-    for j in range(dim):
-        if j not in piv:
-            r = [z] * dim
-            r[j] = o
-            rows.append(r)
-    return Matrix(fld, rows)
+    return Matrix(fld, [[o if i == j and j not in piv else z for j in range(dim)] for i in range(dim)], dim)

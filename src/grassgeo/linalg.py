@@ -1,11 +1,17 @@
 """Dense exact linear algebra over a field (or jet ring).
 
-Matrices are immutable tuples of tuples.  All pivoting is
-deterministic: the pivot is the first unit in column order, so reduced
-echelon forms, kernels and ranks are bit-stable across runs.
+Matrices are immutable tuples of tuples together with their width, so
+a matrix with no rows still has a column count: the kernel of an
+invertible k x k matrix is 0 x k, its transpose k x 0, a product over
+an empty inner dimension is a zero matrix and a 0 x 0 determinant is 1.
+All pivoting is deterministic: the pivot is the first unit in column
+order, so reduced echelon forms, kernels and ranks are bit-stable
+across runs.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import FieldMismatch, NonGeneralConfiguration
 
@@ -19,31 +25,30 @@ def _is_unit(x):
 class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, ncols=None):
+        """ncols may be left out when there is at least one row."""
         rows = tuple(tuple(field.of(x) for x in r) for r in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged rows")
+        if ncols is None:
+            if not rows:
+                raise ValueError("a matrix without rows needs its column count")
+            ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
         self.field = field
         self.rows = rows
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = ncols
 
     # -- constructors -------------------------------------------------
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def from_row(cls, field, row):
-        return cls(field, [row])
+        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     # -- basics --------------------------------------------------------
     def __getitem__(self, ij):
@@ -60,27 +65,29 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.ncols == other.ncols
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
         return "Matrix(%d x %d, %r)" % (self.nrows, self.ncols, self.field)
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows))) if self.rows else self
+        # zip of no rows gives no columns, hence the explicit empty ones
+        return Matrix(self.field, list(zip(*self.rows)) or [()] * self.ncols, self.nrows)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx])
+        return Matrix(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
     def stack(self, other):
         if other.ncols != self.ncols:
             raise ValueError("column mismatch in stack")
         if other.field != self.field:
             raise FieldMismatch("stacking matrices over different fields")
-        return Matrix(self.field, self.rows + other.rows)
+        return Matrix(self.field, self.rows + other.rows, self.ncols)
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -88,6 +95,7 @@ class Matrix:
         return Matrix(
             self.field,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            self.ncols,
         )
 
     def __sub__(self, other):
@@ -96,19 +104,22 @@ class Matrix:
         return Matrix(
             self.field,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            self.ncols,
         )
 
     def scale(self, c):
         c = self.field.of(c)
-        return Matrix(self.field, [[c * x for x in r] for r in self.rows])
+        return Matrix(self.field, [[c * x for x in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         cols = other.transpose().rows
+        z = self.field.zero
         return Matrix(
             self.field,
-            [[_dot(r, c) for c in cols] for r in self.rows],
+            [[_dot(r, c, z) for c in cols] for r in self.rows],
+            other.ncols,
         )
 
     def apply_row(self, v):
@@ -116,7 +127,8 @@ class Matrix:
         if len(v) != self.nrows:
             raise ValueError("length mismatch")
         cols = self.transpose().rows
-        return tuple(_dot(v, c) for c in cols)
+        z = self.field.zero
+        return tuple(_dot(v, c, z) for c in cols)
 
     # -- elimination ----------------------------------------------------
     def rref(self):
@@ -151,7 +163,7 @@ class Matrix:
                     m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             piv_cols.append(c)
             r += 1
-        return tuple(piv_cols), Matrix(self.field, m)
+        return tuple(piv_cols), Matrix(self.field, m, nc)
 
     def rank(self):
         return len(self.rref()[0])
@@ -159,7 +171,7 @@ class Matrix:
     def row_space_basis(self):
         """Nonzero rows of the RREF."""
         piv, red = self.rref()
-        return Matrix(self.field, [red.rows[i] for i in range(len(piv))])
+        return Matrix(self.field, red.rows[: len(piv)], self.ncols)
 
     def nullspace(self):
         """Basis (as rows, reduced echelon) of {v : self @ v = 0}."""
@@ -173,9 +185,7 @@ class Matrix:
             for r, pc in enumerate(piv):
                 v[pc] = -red.rows[r][fc]
             basis.append(v)
-        if not basis:
-            return Matrix(self.field, [])
-        return Matrix(self.field, basis).row_space_basis()
+        return Matrix(self.field, basis, self.ncols).row_space_basis()
 
     def left_nullspace(self):
         return self.transpose().nullspace()
@@ -215,16 +225,17 @@ class Matrix:
         aug = Matrix(
             self.field,
             [list(r) + list(e) for r, e in zip(self.rows, Matrix.identity(self.field, self.nrows).rows)],
+            2 * self.nrows,
         )
         piv, red = aug.rref()
         if list(piv[: self.nrows]) != list(range(self.nrows)):
             raise ValueError("matrix not invertible")
-        return Matrix(self.field, [r[self.nrows :] for r in red.rows])
+        return Matrix(self.field, [r[self.nrows :] for r in red.rows], self.nrows)
 
     def solve(self, b):
         """One solution x of self @ x = b (b a vector), or None."""
         bb = [self.field.of(x) for x in b]
-        aug = Matrix(self.field, [list(r) + [x] for r, x in zip(self.rows, bb)])
+        aug = Matrix(self.field, [list(r) + [x] for r, x in zip(self.rows, bb)], self.ncols + 1)
         piv, red = aug.rref()
         if self.ncols in piv:
             return None
@@ -238,32 +249,20 @@ class Matrix:
         return all(not x for r in self.rows for x in r)
 
 
-def _dot(u, v):
-    it = iter(zip(u, v))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+def _dot(u, v, zero):
+    products = map(mul, u, v)
+    return sum(products, next(products, zero))
 
 
 def rank_kernel(m: Matrix):
     """(rank, kernel basis rows, row space basis rows), all reduced echelon."""
     piv, red = m.rref()
     rank = len(piv)
-    row_basis = Matrix(m.field, [red.rows[i] for i in range(rank)])
+    row_basis = Matrix(m.field, red.rows[:rank], m.ncols)
     return rank, m.nullspace(), row_basis
-
-
-def same_row_space(a: Matrix, b: Matrix) -> bool:
-    return a.row_space_basis() == b.row_space_basis()
 
 
 def row_space_contains(a: Matrix, v) -> bool:
     """Is the vector v in the row space of a?"""
     ext = a.stack(Matrix(a.field, [v]))
     return ext.rank() == a.rank()
-
-
-def row_space_contains_all(a: Matrix, b: Matrix) -> bool:
-    return a.stack(b).rank() == a.rank()

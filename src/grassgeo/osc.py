@@ -20,7 +20,6 @@ from .grassmann import (
     HomSpace,
     Subspace,
     adapted_basis,
-    empty_subspace,
     stiefel_differential,
 )
 from .isoclass import alpha_beta_type, is_strong
@@ -108,11 +107,7 @@ def osculating_space(c: ParamCurve, t, k) -> OscSample:
     if top.rank() != k + 1:
         raise NonGeneralConfiguration("stationary/hyperosculating point")
     sub = Subspace(c.field, c.n, top, check=False)
-    prev = (
-        Subspace(c.field, c.n, rows.submatrix(range(k), range(c.n + 1)), check=False)
-        if k >= 1
-        else empty_subspace(c.field, c.n)
-    )
+    prev = Subspace(c.field, c.n, rows.submatrix(range(k), range(c.n + 1)), check=False)
     nxt = None
     if rows.rank() == k + 2:
         nxt = Subspace(c.field, c.n, rows.row_space_basis(), check=False)

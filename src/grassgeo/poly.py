@@ -8,8 +8,6 @@ default), lex, and block (product) orders used for elimination.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import FieldMismatch
 
 
@@ -405,17 +403,8 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-@lru_cache(maxsize=None)
-def _chart_names(n):
-    return tuple("x%d" % i for i in range(n))
 
 
 def standard_ring(field, n, order=DEGREVLEX, prefix="x"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import univariate
 from .errors import SamplingError
 from .grassmann import Subspace, hyperplane_subspace, point_subspace
-from .groebner import eliminate, normal_form
+from .groebner import eliminate
 from .hilbert import hilbert_dim_degree
 from .linalg import Matrix
 from .poly import DEGREVLEX, Ideal, PolyRing, standard_ring
@@ -81,7 +81,7 @@ class ProjVariety:
     def jacobian_at(self, x):
         pt = [self.field.of(v) for v in x]
         rows = [[g.diff(i).evaluate(pt) for i in range(self.ring.nvars)] for g in self.gens]
-        return Matrix(self.field, rows)
+        return Matrix(self.field, rows, self.ring.nvars)
 
     def is_smooth_point(self, x):
         """(smooth?, tangent dimension); raises if x is off the variety."""
@@ -183,7 +183,7 @@ def conormal_witness_sample(v: ProjVariety, seed, height=12) -> ConormalWitness:
     raise SamplingError("no tangent hyperplane found (degenerate tangent?)")
 
 
-def dual_variety(v: ProjVariety, budget=None) -> ProjVariety:
+def dual_variety(v: ProjVariety) -> ProjVariety:
     """Projectively dual variety of a smooth complete intersection.
 
     Encodes y ~ sum_j lambda_j grad f_j(x) on X with a Rabinowitsch
@@ -215,8 +215,7 @@ def dual_variety(v: ProjVariety, budget=None) -> ProjVariety:
     for j in range(c):
         mu = mu + big.const(j + 1) * lv[j]
     gens.append(big.one() - sv * mu)
-    kwargs = {} if budget is None else {"budget": budget}
-    elim = eliminate(Ideal(big, gens), ys, **kwargs)
+    elim = eliminate(Ideal(big, gens), ys)
     dual_ring = standard_ring(field, n + 1)
     out = []
     for g in elim.gens:
@@ -234,16 +233,3 @@ def dual_variety(v: ProjVariety, budget=None) -> ProjVariety:
     dual = ProjVariety(dual_ring, uniq)
     v._dual = dual
     return dual
-
-
-def on_variety(v: ProjVariety, x) -> bool:
-    return v.contains_point(x)
-
-
-def ideal_vanishes_at(ideal: Ideal, x) -> bool:
-    pt = [ideal.ring.field.of(c) for c in x]
-    return all(not g.evaluate(pt) for g in ideal.gens)
-
-
-def reduce_mod(p, ideal: Ideal):
-    return normal_form(p, ideal)

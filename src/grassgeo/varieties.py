@@ -95,7 +95,7 @@ def fermat_hypersurface(field, n, degree) -> ProjVariety:
     return ProjVariety(ring, [f])
 
 
-def projective_transform(v: ProjVariety, matrix_rows, new_param_tag="g") -> ProjVariety:
+def projective_transform(v: ProjVariety, matrix_rows) -> ProjVariety:
     """Image of a parametrized variety under an invertible coordinate change.
 
     The ideal transforms by substituting x -> x * M^{-1}; the

@@ -47,6 +47,15 @@ def test_contact_command(capsys):
     assert all(r["verdict"] == "coisotropic" for r in rep["results"]["reports"])
 
 
+def test_contact_command_large_prime(capsys):
+    code, rep = _run(
+        capsys,
+        ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2", "--n", "3",
+         "--m", "3", "--samples", "5", "--seed", "3", "--field", "fp:2305843009213693951"],
+    )
+    assert code == 0 and rep["ok"]
+
+
 def test_osc_and_dual_curve_commands(tmp_path, capsys):
     curve = {"coords": ["1", "p0", "p0^2", "p0^3"]}
     path = tmp_path / "curve.json"

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from grassgeo.errors import FieldMismatch, UnsupportedArity
-from grassgeo.fields import GF, QQ, Fp
+from grassgeo.fields import GF, QQ, Fp, is_prime
 from grassgeo.groebner import buchberger, eliminate, groebner, normal_form
 from grassgeo.hilbert import hilbert_dim_degree, local_multiplicity
 from grassgeo.linalg import Matrix, rank_kernel
@@ -27,6 +27,25 @@ def test_fp_arithmetic():
         a + Fraction(1, 2)
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_against_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if _trial_division_is_prime(n)
+    ]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    assert not any(is_prime(n) for n in carmichael)
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**61 - 1) * 1000003)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+
+
 def test_fp_sqrt():
     rng = random.Random(0)
     for p in (101, 32003):
@@ -41,6 +60,20 @@ def test_rank_kernel_identity():
     m = Matrix.identity(QQ, 2)
     rank, ker, rows = rank_kernel(m)
     assert rank == 2 and ker.nrows == 0
+    assert (ker.nrows, ker.ncols) == (0, 2) and m.nullspace() == ker
+
+
+def test_matrices_keep_width_at_zero_rows():
+    empty = Matrix.zero(QQ, 0, 3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    t = empty.transpose()
+    assert (t.nrows, t.ncols) == (3, 0)
+    assert Matrix.zero(QQ, 3, 0) @ Matrix.zero(QQ, 0, 2) == Matrix.zero(QQ, 3, 2)
+    assert Matrix.zero(QQ, 0, 0).det() == 1
+    assert empty != Matrix.zero(QQ, 0, 2)
+    assert empty.stack(Matrix(QQ, [[1, 2, 3]])).rank() == 1
+    with pytest.raises(ValueError):
+        Matrix(QQ, [])
 
 
 def test_rank_kernel_zero_matrix():

@@ -22,6 +22,7 @@ from grassgeo.grassmann import (
     perp_dual,
     perp_dual_hom,
     pluecker_embed,
+    point_subspace,
     pluecker_relations,
     stiefel_differential,
     subspace_from_rows,
@@ -213,6 +214,9 @@ def test_perp_dual_full_space_is_empty():
     d = perp_dual(s)
     assert d.ell == -1
     assert perp_dual(d).same_as(s)
+    d3 = perp_dual(Subspace(QQ, 3, Matrix.identity(QQ, 4)))
+    assert d3.ell == -1 and d3.basis.ncols == 4
+    assert d3.same_as(empty_subspace(QQ, 3))
 
 
 def test_perp_dual_hom_rank_preserved():
@@ -279,6 +283,10 @@ def test_hyperplane_and_membership():
     assert h.ell == 2
     assert h.contains_point([1, 2, 3, 0])
     assert not h.contains_point([0, 0, 0, 1])
+    e = empty_subspace(QQ, 3)
+    assert not e.contains(point_subspace(QQ, [1, 0, 0, 0]))
+    assert not e.contains_point([1, 0, 0, 0])
+    assert e.contains(e) and h.contains(e)
 
 
 def test_beta_space_dimension():
