@@ -30,6 +30,7 @@ from .grassmann import (
     pluecker_ring,
     pluecker_var_name,
     point_subspace,
+    rebase_hom,
     stiefel_differential,
     _sorted_index_sign,
 )
@@ -38,7 +39,7 @@ from .hilbert import hilbert_dim_degree
 from .jets import JetRing
 from .linalg import Matrix
 from .poly import DEGREVLEX, Ideal, PolyRing
-from .projvar import ConormalWitness, ProjVariety
+from .projvar import ConormalWitness, ProjVariety, dual_variety
 from .rng import Stream
 
 SAMPLE_RETRIES = 60
@@ -90,7 +91,7 @@ def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
     return x, tangent, h, hbasis, lmat
 
 
-def sample_associated(v: ProjVariety, ell, seed, height=10) -> AssociatedSample:
+def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
     """Seeded L = span(x, ell directions inside H); invariants verified."""
     n = v.n
     if not (0 <= ell <= n - 1):
@@ -102,11 +103,9 @@ def sample_associated(v: ProjVariety, ell, seed, height=10) -> AssociatedSample:
     stream = Stream(seed, "associated", ell)
     for k in range(SAMPLE_RETRIES):
         s = stream.spawn(k)
-        theta = tuple(field.of(c) for c in s.vector(field, pring.nvars, height))
-        h_coeffs = tuple(field.of(c) for c in s.vector(field, n - v.dimension(), height))
-        l_coeffs = tuple(
-            tuple(field.of(c) for c in s.vector(field, n, height)) for _ in range(ell)
-        )
+        theta = tuple(field.of(c) for c in s.vector(field, pring.nvars, 10))
+        h_coeffs = tuple(field.of(c) for c in s.vector(field, n - v.dimension(), 10))
+        l_coeffs = tuple(tuple(field.of(c) for c in s.vector(field, n, 10)) for _ in range(ell))
         cfg = WitnessConfig(theta, h_coeffs, l_coeffs)
         try:
             x, tangent, h, hbasis, lmat = _build_configuration(v, ell, field, cfg)
@@ -164,8 +163,6 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
         dual_dim = dual.dimension()
     else:
         try:
-            from .projvar import dual_variety
-
             dual = dual_variety(v)
             dual_dim = dual.dimension()
         except ValueError:
@@ -190,15 +187,11 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
     dual_space = _rank_one_conormals(ad, rows, xprime)
     back = perp_dual_space(dual_space)
     # re-express over the sample's own adapted basis
-    from .grassmann import rebase_hom
-
     rebased = [rebase_hom(h, a).matrix for h in back.homs()]
     return HomSpace(CONORMAL, a, rebased)
 
 
-def associated_tangent_pushforward(
-    sample: AssociatedSample, v: ProjVariety, probe_count=None, seed=0
-) -> HomSpace:
+def associated_tangent_pushforward(sample: AssociatedSample, v: ProjVariety, seed=0) -> HomSpace:
     """Span of tangent vectors from jet probes of the (x, H, L) chart.
 
     Each probe perturbs all free data (parameters, hyperplane choice,
@@ -212,12 +205,11 @@ def associated_tangent_pushforward(
     cfg = sample.config
     pring, _ = v.parametrization
     total = (sample.ell + 1) * (v.n - sample.ell)
-    cap = probe_count if probe_count is not None else 4 * total + 8
     stream = Stream(seed, "pushforward", sample.ell)
     mats = []
     rank = 0
     stable = 0
-    for k in range(cap):
+    for k in range(4 * total + 8):
         s = stream.spawn(k)
         theta = tuple(
             jr.variable(c, d) for c, d in zip(cfg.theta, s.vector(field, len(cfg.theta)))
@@ -356,8 +348,6 @@ def hypersurface_range(v: ProjVariety, dual: ProjVariety = None):
     if dual is not None:
         return c - 1, dual.dimension()
     try:
-        from .projvar import dual_variety
-
         return c - 1, dual_variety(v).dimension()
     except ValueError:
         pass
@@ -383,8 +373,6 @@ def polar_degree(v: ProjVariety, ell, dual: ProjVariety = None):
         return ideal.gens[0].total_degree()
     if ell == v.n - 1:
         if dual is None:
-            from .projvar import dual_variety
-
             dual = dual_variety(v)
         return dual.degree()
     raise ValueError("polar degree at interior levels beyond codim is out of scope")

@@ -33,6 +33,7 @@ from .grassmann import (
     Subspace,
     adapted_basis,
     evaluate_pluecker,
+    pluecker_relations,
     subspace_from_rows,
     trace_annihilator,
 )
@@ -48,7 +49,7 @@ from .osc import (
     projective_equal_points,
 )
 from .parse import poly_from_string
-from .poly import PolyRing, standard_ring
+from .poly import Ideal, PolyRing, standard_ring
 from .projvar import ProjVariety, dual_variety
 from .rng import Stream
 from .varieties import (
@@ -165,9 +166,6 @@ def _form_report(v, ell, args, checks):
         "degree": form.total_degree() if form else None,
     }
     if form is not None:
-        from .grassmann import pluecker_relations
-        from .poly import Ideal
-
         rel = pluecker_relations(v.field, ell, v.n)
         big = Ideal(ideal.ring, list(rel.gens) + [form])
         principal = all(not normal_form(g, big) for g in ideal.gens[1:])

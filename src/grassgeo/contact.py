@@ -17,13 +17,16 @@ from dataclasses import dataclass
 from . import univariate
 from .errors import NonGeneralConfiguration, SamplingError
 from .grassmann import (
+    CONORMAL,
+    TANGENT,
+    Hom,
+    HomSpace,
     Subspace,
     adapted_basis,
     stiefel_differential,
     subspace_from_rows,
+    tangent_from_action,
     trace_annihilator,
-    HomSpace,
-    TANGENT,
 )
 from .hilbert import hilbert_dim_degree
 from .isoclass import (
@@ -34,7 +37,7 @@ from .isoclass import (
     segre_tangency_certificate,
 )
 from .linalg import Matrix
-from .poly import Ideal, PolyRing
+from .poly import Ideal, PolyRing, linear_combinations
 from .projvar import ProjVariety, sample_smooth_point
 from .rng import Stream
 
@@ -66,14 +69,8 @@ def _chart_parts(v: ProjVariety, frame: Matrix):
     n = v.n
     field = v.field
     yring = PolyRing(field, tuple("y%d" % i for i in range(1, n + 1)))
-    images = []
-    for j in range(n + 1):
-        acc = yring.const(frame[0, j])
-        for i in range(1, n + 1):
-            acc = acc + yring.var(i - 1) * yring.const(frame[i, j])
-        images.append(acc)
-    f = v.gens[0]
-    chart = f.substitute(yring, images)
+    images = linear_combinations((yring.one(),) + yring.gens(), frame.rows)
+    chart = v.gens[0].substitute(yring, images)
     return yring, chart.homogeneous_parts()
 
 
@@ -114,20 +111,14 @@ def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
     for k in range(1, m):
         fk = parts.get(k, yring.zero())
         grad_rows.append([fk.diff(i).evaluate(e1) for i in range(n)])
+    directions = frame.submatrix(range(1, n + 1), range(n + 1))  # chart y maps to y @ directions
     flag = []
     for k in range(2, m + 1):
         rows = Matrix(field, grad_rows[: k - 1])
         if rows.rank() != k - 1:
             raise NonGeneralConfiguration("non-general configuration, reseed (flag rank)")
-        ker = rows.nullspace()
-        sub_rows = [list(p)]
-        for yvec in ker.rows:
-            vec = [field.zero] * (n + 1)
-            for i, c in enumerate(yvec):
-                for j in range(n + 1):
-                    vec[j] = vec[j] + c * frame[i + 1, j]
-            sub_rows.append(vec)
-        flag.append(Subspace(field, n, Matrix(field, sub_rows).row_space_basis(), check=False))
+        sub_rows = Matrix(field, [p]).stack(rows.nullspace() @ directions)
+        flag.append(Subspace(field, n, sub_rows.row_space_basis(), check=False))
     for a, b in zip(flag, flag[1:]):
         if not (a.contains(b) and a.ell == b.ell + 1):
             raise NonGeneralConfiguration("non-general configuration, reseed (flag step)")
@@ -150,7 +141,7 @@ def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
     )
 
 
-def sample_contact_line(v: ProjVariety, m, seed, height=10) -> ContactConfig:
+def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
     """Seeded point + direction with contact order exactly m.
 
     Directions solve f_1 = ... = f_{m-1} = 0 inside seeded linear
@@ -167,7 +158,7 @@ def sample_contact_line(v: ProjVariety, m, seed, height=10) -> ContactConfig:
     for k in range(CONTACT_RETRIES):
         s = stream.spawn(k)
         try:
-            p = sample_smooth_point(v, s.spawn("pt").seed, height=height)
+            p = sample_smooth_point(v, s.spawn("pt").seed, height=10)
         except SamplingError:
             continue
         # chart at p with unit completion
@@ -179,44 +170,36 @@ def sample_contact_line(v: ProjVariety, m, seed, height=10) -> ContactConfig:
         rows = [[g1.diff(i).constant_coeff() for i in range(n)]]
         slicer = s.spawn("slice")
         for _ in range(n - m):
-            rows.append([field.of(c) for c in slicer.vector(field, n, height)])
+            rows.append([field.of(c) for c in slicer.vector(field, n, 10)])
         lin = Matrix(field, rows)
         if lin.rank() != len(rows):
             continue
         span = lin.nullspace()  # (m-1) rows spanning candidate directions
         if span.nrows != m - 1:
             continue
-        y = _solve_direction(parts, span, m, field, s.spawn("solve"))
+        y = _solve_direction(parts, span, m, field)
         if y is None:
             continue
         fm = parts.get(m, yring.zero())
         if not fm.evaluate(list(y)):
             continue
-        q = [field.zero] * (n + 1)
-        for i, c in enumerate(y):
-            for j in range(n + 1):
-                q[j] = q[j] + c * frame[i + 1, j]
+        q = frame.submatrix(range(1, n + 1), range(n + 1)).apply_row(y)
         if not any(q):
             continue
         try:
-            return taylor_cone_flag(v, p, tuple(q), m)
+            return taylor_cone_flag(v, p, q, m)
         except NonGeneralConfiguration:
             continue
     raise SamplingError("no rational contact line found within budget")
 
 
-def _solve_direction(parts, span, m, field, stream):
+def _solve_direction(parts, span, m, field):
     """A direction y in the sliced span with f_1(y) = ... = f_{m-1}(y) = 0."""
     k = span.nrows  # = m - 1
     if k == 1:
         return tuple(span.rows[0])
     aring = PolyRing(field, tuple("a%d" % i for i in range(k)))
-    images = []
-    for j in range(span.ncols):
-        acc = aring.zero()
-        for i in range(k):
-            acc = acc + aring.var(i) * aring.const(span.rows[i][j])
-        images.append(acc)
+    images = linear_combinations(aring.gens(), span.rows)
     gens = []
     for deg in range(2, m):
         g = parts.get(deg)
@@ -254,9 +237,9 @@ def _solve_direction(parts, span, m, field, stream):
                 else:
                     lam.append(cp[pos])
                     pos += 1
-            y = [sum((c * span.rows[i][j] for i, c in enumerate(lam)), field.zero) for j in range(span.ncols)]
+            y = span.apply_row(lam)
             if any(y):
-                return tuple(y)
+                return y
     return None
 
 
@@ -302,8 +285,6 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
 
 def structural_kernel_homs(cfg: ContactConfig) -> HomSpace:
     """Tangent directions fixing p with image inside T_L C_m / L."""
-    from .grassmann import tangent_from_action
-
     a = adapted_basis(cfg.line)
     field = cfg.variety.field
     top = cfg.flag[-1]  # T_L C_m
@@ -356,8 +337,6 @@ def verify_contact_theorem(cfg: ContactConfig) -> ClassificationReport:
     rep.check("unique rank-one conormal", len(locus.points) == 1 and locus.complete)
     if len(locus.points) == 1:
         lam, matr, _ = locus.points[0]
-        from .grassmann import CONORMAL, Hom
-
         h = Hom(CONORMAL, matr, conormal.adapted)
         rep.check("rank-one image is the contact point", h.image_subspace().same_as(
             subspace_from_rows(v.field, v.n, [cfg.point])

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .errors import FieldMismatch
 from .linalg import Matrix, row_space_contains
-from .poly import Ideal, PolyRing
+from .poly import Ideal, PolyRing, linear_combinations
 
 
 class Subspace:
@@ -117,16 +117,8 @@ def pluecker_var_name(idxs) -> str:
 
 
 @lru_cache(maxsize=None)
-def _pluecker_ring_cached(field, ell, n, order_name):
-    from .poly import DEGREVLEX, LEX
-
-    order = DEGREVLEX if order_name == "degrevlex" else LEX
-    names = tuple(pluecker_var_name(c) for c in combinations(range(n + 1), ell + 1))
-    return PolyRing(field, names, order)
-
-
-def pluecker_ring(field, ell, n, order_name="degrevlex") -> PolyRing:
-    return _pluecker_ring_cached(field, ell, n, order_name)
+def pluecker_ring(field, ell, n) -> PolyRing:
+    return PolyRing(field, tuple(pluecker_var_name(c) for c in combinations(range(n + 1), ell + 1)))
 
 
 def _sorted_index_sign(idxs):
@@ -369,21 +361,21 @@ class HomSpace:
         return row_space_contains(self._flat_matrix(self.mats), hom.flatten())
 
     def same_span(self, other: "HomSpace") -> bool:
-        return self.direction == other.direction and self.mats == other.mats
+        """Equal spans at the same plane, whichever adapted bases they are written in."""
+        if self.direction != other.direction or not self.adapted.subspace.same_as(other.adapted.subspace):
+            return False
+        rebased = [rebase_hom(h, self.adapted).matrix for h in other.homs()]
+        return HomSpace(self.direction, self.adapted, rebased).mats == self.mats
+
+    def element(self, coeffs) -> Matrix:
+        """The matrix sum_i coeffs[i] * mats[i]."""
+        return _unflat(self.adapted.field, self._flat_matrix(self.mats).apply_row(coeffs), self.shape())
 
     def generic_element_poly_matrix(self, ring):
-        """Matrix of linear forms sum_i lambda_i * mats[i] over ring."""
+        """Matrix of linear forms sum_i lambda_i * mats[i] over ring (dim >= 1)."""
         nr, nc = self.shape()
-        rows = []
-        for i in range(nr):
-            row = []
-            for j in range(nc):
-                p = ring.zero()
-                for k, m in enumerate(self.mats):
-                    p = p + ring.var(k) * ring.const(m[i, j])
-                row.append(p)
-            rows.append(row)
-        return rows
+        flat = linear_combinations(ring.gens(), [_flat(m) for m in self.mats])
+        return [flat[i * nc : (i + 1) * nc] for i in range(nr)]
 
     def __repr__(self):
         return "HomSpace(%s, dim=%d)" % (self.direction, self.dim)
@@ -457,11 +449,8 @@ def trace_pairing(phi: Hom, psi: Hom):
     if phi.direction == psi.direction:
         raise ValueError("trace pairing needs opposite directions")
     t, c = (phi, psi) if phi.direction == TANGENT else (psi, phi)
-    acc = t.adapted.field.zero
-    for i in range(t.matrix.nrows):
-        for j in range(t.matrix.ncols):
-            acc = acc + t.matrix[i, j] * c.matrix[j, i]
-    return acc
+    composite = t.matrix @ c.matrix
+    return sum((composite[i, i] for i in range(composite.nrows)), t.adapted.field.zero)
 
 
 def trace_annihilator(space: HomSpace) -> HomSpace:

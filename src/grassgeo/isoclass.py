@@ -18,7 +18,7 @@ from .grassmann import HomSpace
 from .groebner import groebner
 from .hilbert import hilbert_dim_degree, local_multiplicity
 from .linalg import Matrix
-from .poly import Ideal, PolyRing
+from .poly import LEX, Ideal, PolyRing
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +52,6 @@ def affine_points_zero_dim(ideal: Ideal):
     if nv == 0:
         ok = all(not g.constant_coeff() for g in ideal.gens)
         return ([()] if ok else []), True
-    from .poly import LEX
-
     gb = groebner(ideal, order=LEX)
     if not gb.gens:
         raise ValueError("zero ideal is not zero-dimensional")
@@ -123,19 +121,6 @@ def _minor_ideal(space: HomSpace):
     return Ideal(ring, gens)
 
 
-def _combo_matrix(space: HomSpace, lam):
-    fld = space.adapted.field
-    nr, nc = space.shape()
-    rows = [[fld.zero] * nc for _ in range(nr)]
-    for c, m in zip(lam, space.mats):
-        if not c:
-            continue
-        for i in range(nr):
-            for j in range(nc):
-                rows[i][j] = rows[i][j] + c * m[i, j]
-    return Matrix(fld, rows)
-
-
 def rank_one_locus(space: HomSpace) -> RankOneLocus:
     """Projective rank-one elements of the span over the base field.
 
@@ -192,7 +177,7 @@ def rank_one_locus(space: HomSpace) -> RankOneLocus:
     out = []
     for lam in pts:
         mult = _point_multiplicity(ideal, lam)
-        out.append((lam, _combo_matrix(space, lam), mult))
+        out.append((lam, space.element(lam), mult))
     return RankOneLocus(points=out, ideal=ideal, complete=complete)
 
 

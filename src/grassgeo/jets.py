@@ -1,9 +1,12 @@
 """First-order jets (dual numbers) over an exact base field.
 
 A jet a + b*eps with eps^2 = 0 tracks a value and its derivative along
-a one-parameter path.  Linear algebra over jets works with the usual
-Gaussian elimination as long as pivots are units (value part nonzero);
-a vanishing pivot signals a non-generic path and the callers reseed.
+a one-parameter path.  Elimination over jets pivots only on units
+(value part nonzero) and skips a column that holds only nilpotents, so
+kernels stay exact to first order: the kernel of [[eps, 1]] is
+(1, -eps).  Only a nonzero row left below the pivots - a rank that
+drops to first order - raises NonGeneralConfiguration, and the callers
+reseed.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Matrices are immutable tuples of tuples together with their width, so
 a matrix with no rows still has a column count: the kernel of an
 invertible k x k matrix is 0 x k, its transpose k x 0, a product over
 an empty inner dimension is a zero matrix and a 0 x 0 determinant is 1.
-All pivoting is deterministic: the pivot is the first unit in column
-order, so reduced echelon forms, kernels and ranks are bit-stable
-across runs.
+One forward elimination pass does all the pivoting: `rref` adds the
+back substitution to it, `det` reads the signed product of its pivots,
+and rank, kernels, inverses and solutions all go through `rref`.  The
+pivot is the first unit at or below the current row, so reduced
+echelon forms, kernels and ranks are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -131,39 +133,54 @@ class Matrix:
         return tuple(_dot(v, c, z) for c in cols)
 
     # -- elimination ----------------------------------------------------
-    def rref(self):
-        """Reduced row echelon form; returns (pivot columns, Matrix)."""
+    def _forward(self):
+        """The one elimination pass: (pivot columns, row lists, signed pivot product).
+
+        The pivot of each column is the first unit at or below the
+        current row; its row is scaled to 1 and the entries below it are
+        cleared.  A column without a unit is skipped.  Over a field the
+        rows left below the pivots are then zero; over jets a skipped
+        column may hold nilpotents, and a nonzero row left below the
+        pivots means the rank drops only to first order, which raises.
+        """
         m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
+        nr = self.nrows
+        one = self.field.one
         piv_cols = []
+        prod = one
         r = 0
-        for c in range(nc):
+        for c in range(self.ncols):
             if r == nr:
                 break
-            sel = None
-            for i in range(r, nr):
-                if _is_unit(m[i][c]):
-                    sel = i
+            for sel in range(r, nr):
+                if _is_unit(m[sel][c]):
                     break
-            if sel is None:
-                for i in range(r, nr):
-                    if m[i][c]:
-                        # nonzero non-unit: only possible over jets
-                        raise NonGeneralConfiguration(
-                            "nilpotent pivot in column %d" % c
-                        )
+            else:
                 continue
             if sel != r:
                 m[r], m[sel] = m[sel], m[r]
-            inv = self.field.one / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                prod = -prod
+            prod = prod * m[r][c]
+            inv = one / m[r][c]
+            pr = m[r] = [x * inv if x else x for x in m[r]]
+            for i in range(r + 1, nr):
+                if m[i][c]:
+                    m[i] = _subtract_multiple(m[i], m[i][c], pr)
             piv_cols.append(c)
             r += 1
-        return tuple(piv_cols), Matrix(self.field, m, nc)
+        if any(x for row in m[r:] for x in row):
+            raise NonGeneralConfiguration("rank drops to first order")
+        return piv_cols, m, prod
+
+    def rref(self):
+        """Reduced row echelon form; returns (pivot columns, Matrix)."""
+        piv_cols, m, _ = self._forward()
+        for r in reversed(range(len(piv_cols))):
+            c = piv_cols[r]
+            for i in range(r):
+                if m[i][c]:
+                    m[i] = _subtract_multiple(m[i], m[i][c], m[r])
+        return tuple(piv_cols), Matrix(self.field, m, self.ncols)
 
     def rank(self):
         return len(self.rref()[0])
@@ -193,31 +210,8 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        m = [list(r) for r in self.rows]
-        n = self.nrows
-        sign = 1
-        acc = self.field.one
-        for c in range(n):
-            sel = None
-            for i in range(c, n):
-                if _is_unit(m[i][c]):
-                    sel = i
-                    break
-            if sel is None:
-                for i in range(c, n):
-                    if m[i][c]:
-                        raise NonGeneralConfiguration("nilpotent pivot in det")
-                return self.field.zero
-            if sel != c:
-                m[c], m[sel] = m[sel], m[c]
-                sign = -sign
-            acc = acc * m[c][c]
-            inv = self.field.one / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return acc if sign == 1 else -acc
+        piv_cols, _, prod = self._forward()
+        return prod if len(piv_cols) == self.nrows else self.field.zero
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -247,6 +241,11 @@ class Matrix:
 
     def is_zero(self):
         return all(not x for r in self.rows for x in r)
+
+
+def _subtract_multiple(row, f, pivot_row):
+    """row - f * pivot_row; the zeros of pivot_row (its leading columns, over a field) cost nothing."""
+    return [a - f * b if b else a for a, b in zip(row, pivot_row)]
 
 
 def _dot(u, v, zero):

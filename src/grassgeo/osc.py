@@ -121,13 +121,7 @@ def osc_tangent_hom(c: ParamCurve, t, k) -> Hom:
     if sample.next is None and k <= c.n - 2:
         raise NonGeneralConfiguration("stationary point at order k+1")
     a = adapted_basis(sample.subspace)
-    tv = [c.field.of(t)]
-    ds = list(c.coords)
-    deriv_rows = []
-    for _ in range(k + 1):
-        ds = [p.diff(0) for p in ds]
-        deriv_rows.append([p.evaluate(tv) for p in ds])
-    m = Matrix(c.field, deriv_rows)
+    m = c.derivative_rows(t, k + 1).submatrix(range(1, k + 2), range(c.n + 1))
     return stiefel_differential(a, m)
 
 

@@ -8,6 +8,8 @@ default), lex, and block (product) orders used for elimination.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import FieldMismatch
 
 
@@ -393,6 +395,12 @@ class Ideal:
 
     def __repr__(self):
         return "Ideal(%d gens in %r)" % (len(self.gens), self.ring)
+
+
+def linear_combinations(polys, rows):
+    """[sum_i polys[i] * rows[i][j] for each column j]; polys must not be empty."""
+    zero = polys[0].ring.zero()
+    return [sum(map(mul, polys, col), zero) for col in zip(*rows)]
 
 
 def monomial_divides(a, b):

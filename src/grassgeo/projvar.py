@@ -164,14 +164,14 @@ def tangent_hyperplanes_basis(v: ProjVariety, x):
     return t.basis.nullspace()
 
 
-def conormal_witness_sample(v: ProjVariety, seed, height=12) -> ConormalWitness:
+def conormal_witness_sample(v: ProjVariety, seed) -> ConormalWitness:
     """(x, H) with the tangent space at x inside H, seeded choice of H."""
     stream = Stream(seed, "witness")
-    x = sample_smooth_point(v, stream.spawn("pt").seed, height=height)
+    x = sample_smooth_point(v, stream.spawn("pt").seed, height=12)
     normals = tangent_hyperplanes_basis(v, x)
     s = stream.spawn("hyp")
     for _ in range(SAMPLE_RETRIES):
-        coeffs = s.vector(v.field, normals.nrows, height)
+        coeffs = s.vector(v.field, normals.nrows, 12)
         h = normals.apply_row(coeffs)
         if any(h):
             return ConormalWitness(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .poly import PolyRing, standard_ring
+from .poly import PolyRing, linear_combinations, standard_ring
 from .projvar import ProjVariety
 from .rng import Stream
 
@@ -107,22 +107,10 @@ def projective_transform(v: ProjVariety, matrix_rows) -> ProjVariety:
     m = Matrix(field, matrix_rows)
     minv = m.inverse()
     ring = v.ring
-    xs = ring.gens()
-    images = []
-    for i in range(ring.nvars):
-        acc = ring.zero()
-        for j in range(ring.nvars):
-            acc = acc + ring.const(minv[j, i]) * xs[j]
-        images.append(acc)
+    images = linear_combinations(ring.gens(), minv.rows)
     gens = [g.substitute(ring, images) for g in v.gens]
     param = None
     if v.parametrization is not None:
         pring, coords = v.parametrization
-        new_coords = []
-        for i in range(ring.nvars):
-            acc = pring.zero()
-            for j in range(ring.nvars):
-                acc = acc + pring.const(m[j, i]) * coords[j]
-            new_coords.append(acc)
-        param = (pring, tuple(new_coords))
+        param = (pring, tuple(linear_combinations(coords, m.rows)))
     return ProjVariety(ring, gens, parametrization=param)

@@ -111,3 +111,14 @@ def test_exit_code_on_sampling_budget(capsys):
     code = main(["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3", "--n", "3",
                  "--m", "2", "--samples", "1", "--field", "q"])
     assert code == 3
+
+
+def test_classify_over_q_survives_first_order_rank_drops(capsys):
+    # jet probes of this sample meet columns holding only nilpotents
+    argv = ["classify", "--variety", "rational-normal-quartic", "--ell", "1",
+            "--samples", "5", "--field", "q", "--seed", "1"]
+    code, rep = _run(capsys, argv)
+    assert code == 0 and rep["ok"]
+    reports = rep["results"]["reports"]
+    assert len(reports) == 5
+    assert all((r["verdict"], r["type"], r["space_dim"]) == ("coisotropic", "beta", 2) for r in reports)

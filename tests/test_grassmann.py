@@ -305,3 +305,26 @@ def test_trace_pairing_values():
     phi = t.homs()[0]
     psi = Hom(CONORMAL, Matrix(QQ, [[1, 0], [0, 0]]), a)
     assert trace_pairing(phi, psi) == 1
+
+
+def test_same_span_rejects_equal_matrices_at_different_planes():
+    m = Matrix(QQ, [[1, 0], [0, 0]])
+    at_l = HomSpace(TANGENT, adapted_basis(subspace_from_rows(QQ, 3, [[1, 0, 0, 0], [0, 1, 0, 0]])), [m])
+    at_other = HomSpace(TANGENT, adapted_basis(subspace_from_rows(QQ, 3, [[1, 1, 0, 0], [0, 0, 1, 0]])), [m])
+    assert not at_l.same_span(at_other) and not at_other.same_span(at_l)
+
+
+@pytest.mark.parametrize("direction", [TANGENT, CONORMAL])
+def test_same_span_across_two_bases_of_one_plane(direction):
+    rng = random.Random(23)
+    F = GF(101)
+    a = adapted_basis(subspace_from_rows(F, 4, [[1, 0, 1, 0, 2], [0, 1, 0, 1, 3]]))
+    b = adapted_basis(subspace_from_rows(F, 4, [[1, 1, 1, 1, 5], [0, 2, 0, 2, 6]]))
+    assert a.full != b.full
+    shape = (2, 3) if direction == TANGENT else (3, 2)
+    mats = [Matrix(F, [[F.random(rng) for _ in range(shape[1])] for _ in range(shape[0])]) for _ in range(2)]
+    sp = HomSpace(direction, a, mats)
+    moved = HomSpace(direction, b, [rebase_hom(h, b).matrix for h in sp.homs()])
+    assert sp.same_span(moved) and moved.same_span(sp)
+    assert not sp.same_span(HomSpace(direction, a, mats[:1]))
+    assert not sp.same_span(HomSpace(TANGENT if direction == CONORMAL else CONORMAL, a, []))
