@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NonGeneralConfiguration, SamplingError
+from .errors import InvalidInput, NonGeneralConfiguration, SamplingError, Unsupported
 from .grassmann import (
     CONORMAL,
     TANGENT,
@@ -95,7 +95,7 @@ def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
     """Seeded L = span(x, ell directions inside H); invariants verified."""
     n = v.n
     if not (0 <= ell <= n - 1):
-        raise ValueError("need 0 <= ell <= n-1")
+        raise InvalidInput("need 0 <= ell <= n-1")
     if v.parametrization is None:
         raise SamplingError("associated sampling needs a parametrized variety")
     pring, _ = v.parametrization
@@ -158,16 +158,12 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
     if ell <= c - 1:
         rows = [a.quotient_coords(r) for r in sample.tangent_at_x.basis.rows]
         return _rank_one_conormals(a, rows, sample.witness.point)
-    dual_dim = None
-    if dual is not None:
-        dual_dim = dual.dimension()
-    else:
+    if dual is None:
         try:
             dual = dual_variety(v)
-            dual_dim = dual.dimension()
-        except ValueError:
-            dual = None
-    if dual_dim is None or ell <= dual_dim:
+        except Unsupported:
+            pass
+    if dual is None or ell <= dual.dimension():
         # hypersurface range: single witness (x, H)
         rows = [a.quotient_coords(r) for r in sample.witness.h.basis.rows]
         return _rank_one_conormals(a, rows, sample.witness.point)
@@ -286,7 +282,7 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
     n = v.n
     c = v.codim()
     if ell not in (c - 1, c) or not (0 <= ell <= n - 1):
-        raise ValueError("supported levels are codim-1 (Chow) and codim (Hurwitz)")
+        raise Unsupported("supported levels are codim-1 (Chow) and codim (Hurwitz)")
     field = v.field
     pring = pluecker_ring(field, ell, n)
     pnames = pring.vars
@@ -297,12 +293,10 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
         big = PolyRing(field, par.vars + pnames, DEGREVLEX)
         x_polys = [g.map_to(big) for g in coords]
         base_gens = []
-        drop = par.vars
     else:
         big = PolyRing(field, v.ring.vars + pnames, DEGREVLEX)
         x_polys = [big.var(nm) for nm in v.ring.vars]
         base_gens = [g.map_to(big) for g in v.gens]
-        drop = v.ring.vars
 
     pvar_of = {}
     for idxs in combinations(range(n + 1), ell + 1):
@@ -322,7 +316,7 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
             dx = [g.diff(0).map_to(big) for g in v.parametrization[1]]
             gens += point_in_plane_contractions(big, dx, ell, n, pvar_of)
         else:
-            raise ValueError("tangency encoding needs a hypersurface or a parametrized curve")
+            raise Unsupported("tangency encoding needs a hypersurface or a parametrized curve")
 
     elim = eliminate(Ideal(big, gens), pnames)
     rel = pluecker_relations(field, ell, n)
@@ -342,27 +336,23 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
     return Ideal(pring, out)
 
 
-def hypersurface_range(v: ProjVariety, dual: ProjVariety = None):
+def hypersurface_range(v: ProjVariety):
     """(codim-1, dim of the dual variety): the levels with positive polar degree."""
     c = v.codim()
-    if dual is not None:
-        return c - 1, dual.dimension()
     try:
         return c - 1, dual_variety(v).dimension()
-    except ValueError:
+    except Unsupported:
         pass
     if v.dimension() == 1:
-        ideal = chow_hurwitz_ideal(v, v.n - 1)
-        full = Ideal(ideal.ring, list(ideal.gens))
-        dim, _ = hilbert_dim_degree(full)
+        dim, _ = hilbert_dim_degree(chow_hurwitz_ideal(v, v.n - 1))
         return c - 1, dim
-    raise ValueError("cannot determine the dual dimension for this variety")
+    raise Unsupported("cannot determine the dual dimension for this variety")
 
 
-def polar_degree(v: ProjVariety, ell, dual: ProjVariety = None):
+def polar_degree(v: ProjVariety, ell):
     """Degree of the level-ell associated form; 0 outside the
     hypersurface range."""
-    lo, hi = hypersurface_range(v, dual)
+    lo, hi = hypersurface_range(v)
     if not (lo <= ell <= hi):
         return 0
     c = v.codim()
@@ -372,10 +362,8 @@ def polar_degree(v: ProjVariety, ell, dual: ProjVariety = None):
             raise NonGeneralConfiguration("empty associated ideal")
         return ideal.gens[0].total_degree()
     if ell == v.n - 1:
-        if dual is None:
-            dual = dual_variety(v)
-        return dual.degree()
-    raise ValueError("polar degree at interior levels beyond codim is out of scope")
+        return dual_variety(v).degree()
+    raise Unsupported("polar degree at interior levels beyond codim is out of scope")
 
 
 def transported_dual_sample(sample: AssociatedSample, v: ProjVariety, dual: ProjVariety):

@@ -4,8 +4,10 @@ All input/output is JSON.  Reports are deterministic given (inputs,
 seed, field): keys are sorted, rationals are printed as "num/den"
 strings, Pluecker vectors follow the recorded lexicographic index-set
 order, and wall time goes to stderr, never into the payload.  Exit
-codes: 0 all checks pass, 1 failed checks, 2 input errors, 3 budget
-exhaustion.
+codes: 0 all checks pass, 1 failed checks; a GrassgeoError ends the
+command with its own exit_code (see grassgeo.errors): 2 for rejected,
+unparsable or out-of-scope input, 3 for an exhausted budget or an
+unlucky seed.  Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .associated import (
     sample_associated,
 )
 from .contact import sample_contact_line, verify_contact_theorem
-from .errors import BudgetExceeded, GrassgeoError, ParseError, SamplingError
+from .errors import GrassgeoError, InvalidInput, Unsupported
 from .fields import field_from_tag, scalar_from_string
 from .grassmann import (
     TANGENT,
@@ -69,30 +71,36 @@ BUILTIN_VARIETIES = {
 }
 
 
+def _read_input(path, parse):
+    """parse(JSON contents of path); any failure is an InvalidInput naming the file."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        raise InvalidInput("cannot read %s: %s %s" % (path, type(exc).__name__, exc)) from exc
+
+
 def load_variety(path_or_name, field) -> ProjVariety:
     """Variety from a JSON description file or a builtin name."""
     if path_or_name in BUILTIN_VARIETIES:
         return BUILTIN_VARIETIES[path_or_name](field)
-    with open(path_or_name) as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    ring = standard_ring(field, n + 1)
-    gens = [poly_from_string(s, ring) for s in data.get("generators", [])]
-    param = None
-    if data.get("parametrization"):
-        pd = data["parametrization"]
-        pring = PolyRing(field, tuple(pd["params"]))
-        coords = tuple(poly_from_string(s, pring) for s in pd["coords"])
-        param = (pring, coords)
-    return ProjVariety(ring, gens, parametrization=param)
+
+    def parse(data):
+        ring = standard_ring(field, int(data["n"]) + 1)
+        gens = [poly_from_string(s, ring) for s in data.get("generators", [])]
+        param = None
+        if data.get("parametrization"):
+            pd = data["parametrization"]
+            pring = PolyRing(field, tuple(pd["params"]))
+            param = (pring, tuple(poly_from_string(s, pring) for s in pd["coords"]))
+        return ProjVariety(ring, gens, parametrization=param)
+
+    return _read_input(path_or_name, parse)
 
 
 def load_curve(path, field) -> ParamCurve:
-    with open(path) as fh:
-        data = json.load(fh)
     pring = PolyRing(field, ("p0",))
-    coords = [poly_from_string(s, pring) for s in data["coords"]]
-    return ParamCurve(field, coords)
+    return _read_input(path, lambda data: ParamCurve(field, [poly_from_string(s, pring) for s in data["coords"]]))
 
 
 def fmt_scalar(field, x):
@@ -203,7 +211,7 @@ def cmd_polar_degrees(args, field):
     for ell in range(v.n):
         try:
             values[str(ell)] = polar_degree(v, ell)
-        except ValueError:
+        except Unsupported:
             values[str(ell)] = None  # interior level out of scope
     known = {k: d for k, d in values.items() if d is not None}
     checks.add(
@@ -253,10 +261,9 @@ def cmd_contact(args, field):
     if args.f in BUILTIN_VARIETIES:
         v = BUILTIN_VARIETIES[args.f](field)
     else:
-        nvars = args.n + 1 if args.n else None
-        if nvars is None:
-            raise ParseError("contact needs --n (ambient dimension) with --f")
-        ring = standard_ring(field, nvars)
+        if not args.n:
+            raise InvalidInput("contact needs --n (ambient dimension) with --f")
+        ring = standard_ring(field, args.n + 1)
         v = ProjVariety(ring, [poly_from_string(args.f, ring)])
     out = []
     for k in range(args.samples):
@@ -321,21 +328,21 @@ def cmd_dualize(args, field):
 
 
 def cmd_classify_family(args, field):
-    with open(args.input) as fh:
-        data = json.load(fh)
+    def parse(data):
+        n = int(data["n"])
+        samples = []
+        for item in data["samples"]:
+            rows = [[scalar_from_string(field, x) for x in row] for row in item["subspace"]]
+            sub = subspace_from_rows(field, n, rows)
+            mats = [
+                Matrix(field, [[scalar_from_string(field, x) for x in row] for row in hm])
+                for hm in item["homs"]
+            ]
+            samples.append((sub, HomSpace(TANGENT, adapted_basis(sub), mats)))
+        return samples
+
     checks = CheckList()
-    n = int(data["n"])
-    samples = []
-    for item in data["samples"]:
-        rows = [[scalar_from_string(field, x) for x in row] for row in item["subspace"]]
-        sub = subspace_from_rows(field, n, rows)
-        a = adapted_basis(sub)
-        mats = [
-            Matrix(field, [[scalar_from_string(field, x) for x in row] for row in hm])
-            for hm in item["homs"]
-        ]
-        samples.append((sub, HomSpace(TANGENT, a, mats)))
-    tag, witness = classify_strongly_isotropic_family(samples)
+    tag, witness = classify_strongly_isotropic_family(_read_input(args.input, parse))
     checks.add("classified", tag != "inconclusive", tag)
     return {
         "type": tag,
@@ -402,12 +409,9 @@ def run(argv=None):
 def main(argv=None):
     try:
         return run(argv)
-    except (BudgetExceeded, SamplingError) as exc:
+    except GrassgeoError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except (ParseError, OSError, KeyError, ValueError, GrassgeoError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import univariate
-from .errors import NonGeneralConfiguration, SamplingError
+from .errors import CertificateNotApplicable, InvalidInput, NonGeneralConfiguration, SamplingError
 from .grassmann import (
     CONORMAL,
     TANGENT,
@@ -82,17 +82,20 @@ def line_contact_order(v: ProjVariety, p, q):
     return univariate.valuation(univariate.restrict(v.gens[0], p, q))
 
 
+def _check_contact_order(v: ProjVariety, m):
+    if len(v.gens) != 1:
+        raise InvalidInput("contact lines need a hypersurface")
+    if not (2 <= m <= min(v.n, v.gens[0].total_degree())):
+        raise InvalidInput("need 2 <= m <= min(n, deg f)")
+
+
 def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
     """Chart expansion and the tangent flag of the contact cones.
 
     Verifies: contact order of the line at p is exactly m; each flag
     member is a hyperplane in the previous one.
     """
-    if len(v.gens) != 1:
-        raise ValueError("contact machinery works on hypersurfaces")
-    d = v.gens[0].total_degree()
-    if not (2 <= m <= min(v.n, d)):
-        raise ValueError("need 2 <= m <= min(n, deg f)")
+    _check_contact_order(v, m)
     field = v.field
     p = tuple(field.of(c) for c in p)
     q = tuple(field.of(c) for c in q)
@@ -147,11 +150,7 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
     Directions solve f_1 = ... = f_{m-1} = 0 inside seeded linear
     slices; no base-field solution triggers a retry with a new point.
     """
-    if len(v.gens) != 1:
-        raise ValueError("contact sampling works on hypersurfaces")
-    d = v.gens[0].total_degree()
-    if not (2 <= m <= min(v.n, d)):
-        raise ValueError("need 2 <= m <= min(n, deg f)")
+    _check_contact_order(v, m)
     field = v.field
     n = v.n
     stream = Stream(seed, "contact", m)
@@ -212,32 +211,14 @@ def _solve_direction(parts, span, m, field):
     for chart in range(k - 1, -1, -1):
         rest = [aring.vars[i] for i in range(k) if i != chart]
         small = PolyRing(field, tuple(rest), aring.order)
-        sub_imgs = []
-        pos = 0
-        for i in range(k):
-            if i == chart:
-                sub_imgs.append(small.one())
-            else:
-                sub_imgs.append(small.var(rest[pos]))
-                pos += 1
+        sub_imgs = [small.one() if i == chart else small.var(aring.vars[i]) for i in range(k)]
         sub = [g.substitute(small, sub_imgs) for g in gens]
         sub = [g for g in sub if g]
-        if any(g.is_constant() for g in sub):
+        if not sub or any(g.is_constant() for g in sub):
             continue
-        try:
-            pts, _ = affine_points_zero_dim(Ideal(small, sub))
-        except ValueError:
-            continue
+        pts, _ = affine_points_zero_dim(Ideal(small, sub))
         for cp in pts:
-            lam = []
-            pos = 0
-            for i in range(k):
-                if i == chart:
-                    lam.append(field.one)
-                else:
-                    lam.append(cp[pos])
-                    pos += 1
-            y = span.apply_row(lam)
+            y = span.apply_row(list(cp[:chart]) + [field.one] + list(cp[chart:]))
             if any(y):
                 return y
     return None
@@ -352,7 +333,7 @@ def verify_contact_theorem(cfg: ContactConfig) -> ClassificationReport:
         rep.flags["segre_tangency"] = cert.multiplicity == m - 1 and cert.unique_point
         if rep.flags["segre_tangency"]:
             rep.verdict = "coisotropic"
-    except Exception as exc:  # recorded, not thrown
+    except CertificateNotApplicable as exc:  # recorded, not thrown
         rep.check("Segre certificate", False, str(exc))
     struct = structural_kernel_homs(cfg)
     ok = all(tangent.contains(h) for h in struct.homs())

@@ -1,8 +1,25 @@
-"""Shared exception types."""
+"""Shared exception types, each with the exit code `cli.main` returns for it.
+
+2 (the default): the input is rejected, unparsable, outside the
+implemented scope or fails a certificate's preconditions.  3: a seeded
+run ran out of budget or retries (BudgetExceeded, SamplingError,
+NonGeneralConfiguration), and a new --seed may succeed.  Any other
+exception is a bug and ends in a traceback.
+"""
 
 
 class GrassgeoError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
+
+
+class InvalidInput(GrassgeoError, ValueError):
+    """Rejected arguments or input file contents."""
+
+
+class Unsupported(GrassgeoError, ValueError):
+    """A valid input outside the implemented scope."""
 
 
 class FieldMismatch(GrassgeoError, TypeError):
@@ -12,21 +29,27 @@ class FieldMismatch(GrassgeoError, TypeError):
 class BudgetExceeded(GrassgeoError, RuntimeError):
     """A configurable step budget ran out (Groebner/elimination)."""
 
+    exit_code = 3
+
 
 class NotIsolated(GrassgeoError, ValueError):
     """Local multiplicity requested at a non-isolated point."""
 
 
-class UnsupportedArity(GrassgeoError, ValueError):
+class UnsupportedArity(Unsupported):
     """Local multiplicity supports at most two local parameters."""
 
 
 class SamplingError(GrassgeoError, RuntimeError):
     """No suitable point/line was found within the retry budget."""
 
+    exit_code = 3
+
 
 class NonGeneralConfiguration(GrassgeoError, RuntimeError):
     """A seeded configuration failed a genericity check; reseed."""
+
+    exit_code = 3
 
 
 class CertificateNotApplicable(GrassgeoError, ValueError):

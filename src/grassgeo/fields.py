@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import univariate
-from .errors import FieldMismatch
+from .errors import FieldMismatch, InvalidInput
 
 
 # Miller-Rabin to the first 13 prime bases is exact below the least
@@ -24,9 +24,9 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test; ValueError for n the test cannot decide."""
+    """Exact primality test; InvalidInput for n the test cannot decide."""
     if n >= _MR_LIMIT:
-        raise ValueError("primality of %d is not decided: moduli must be below %d" % (n, _MR_LIMIT))
+        raise InvalidInput("primality of %d is not decided: moduli must be below %d" % (n, _MR_LIMIT))
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -210,7 +210,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not is_prime(p):
-            raise ValueError("%d is not prime" % p)
+            raise InvalidInput("%d is not prime" % p)
         self.p = p
 
     @property
@@ -274,11 +274,11 @@ def field_from_tag(tag: str):
     """Parse a CLI field tag: 'q' or 'fp:<prime>'."""
     if tag == "q":
         return QQ
-    if tag.startswith("fp:"):
+    if tag.startswith("fp:") and tag[3:].isdecimal():
         return GF(int(tag[3:]))
     if tag == "fp":
         return GF(DEFAULT_PRIME)
-    raise ValueError("unknown field tag %r (expected 'q' or 'fp:<prime>')" % tag)
+    raise InvalidInput("unknown field tag %r (expected 'q' or 'fp:<prime>')" % tag)
 
 
 def scalar_from_string(field, s: str):

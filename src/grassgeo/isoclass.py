@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import univariate
-from .errors import CertificateNotApplicable
+from .errors import CertificateNotApplicable, NotIsolated
 from .grassmann import HomSpace
 from .groebner import groebner
 from .hilbert import hilbert_dim_degree, local_multiplicity
@@ -52,14 +52,14 @@ def affine_points_zero_dim(ideal: Ideal):
     if nv == 0:
         ok = all(not g.constant_coeff() for g in ideal.gens)
         return ([()] if ok else []), True
+    if nv > 2:
+        raise CertificateNotApplicable("point solver limited to 2 variables")
     gb = groebner(ideal, order=LEX)
     if not gb.gens:
         raise ValueError("zero ideal is not zero-dimensional")
     if nv == 1:
         roots, split = univariate_roots(gb.gens[0])
         return [(r,) for r, _ in roots], split
-    if nv != 2:
-        raise CertificateNotApplicable("point solver limited to 2 variables")
     # lex with u > v: the last basis element is univariate in v
     univ = [g for g in gb.gens if all(e[0] == 0 for e in g.terms)]
     if not univ:
@@ -165,11 +165,7 @@ def rank_one_locus(space: HomSpace) -> RankOneLocus:
             continue
         if len(small.vars) > 2:
             raise CertificateNotApplicable("rank-one solver limited to spans of dimension <= 3")
-        try:
-            chart_pts, chart_complete = affine_points_zero_dim(Ideal(small, sub_gens))
-        except ValueError:
-            # zero ideal on this chart: positive dimensional after all
-            return RankOneLocus(points=[], positive_dimensional=True, ideal=ideal)
+        chart_pts, chart_complete = affine_points_zero_dim(Ideal(small, sub_gens))
         complete = complete and chart_complete
         for cp in chart_pts:
             lam = [fld.zero] * chart + [fld.one] + list(cp)
@@ -204,7 +200,7 @@ def _point_multiplicity(ideal: Ideal, lam):
     point = [lam[i] * inv for i in range(k) if i != chart]
     try:
         return local_multiplicity(Ideal(small, gens), point)
-    except ValueError:
+    except NotIsolated:
         return None
 
 

@@ -63,7 +63,6 @@ class Jet:
         if e < 0:
             raise ValueError("negative jet power")
         if e == 0:
-            one = None
             # 0-th power only meaningful for nonzero value part
             if not self.a:
                 raise NonGeneralConfiguration("jet^0 with nilpotent value")

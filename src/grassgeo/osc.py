@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonGeneralConfiguration
+from .errors import InvalidInput, NonGeneralConfiguration
 from .grassmann import (
     TANGENT,
     Hom,
@@ -33,15 +33,15 @@ class ParamCurve:
     def __init__(self, field, coords):
         coords = tuple(coords)
         if not coords:
-            raise ValueError("empty coordinate list")
+            raise InvalidInput("empty coordinate list")
         ring = coords[0].ring
         if ring.nvars != 1:
-            raise ValueError("coordinates must be univariate")
+            raise InvalidInput("coordinates must be univariate")
         for c in coords:
             if c.ring != ring:
-                raise ValueError("mixed coordinate rings")
+                raise InvalidInput("mixed coordinate rings")
         if all(not c for c in coords):
-            raise ValueError("identically zero curve")
+            raise InvalidInput("identically zero curve")
         self.field = field
         self.ring = ring
         self.coords = coords
@@ -101,7 +101,7 @@ class OscSample:
 def osculating_space(c: ParamCurve, t, k) -> OscSample:
     """Osculating k-plane at c(t); raises at stationary points."""
     if not (0 <= k <= c.n - 1):
-        raise ValueError("need 0 <= k <= n-1")
+        raise InvalidInput("need 0 <= k <= n-1")
     rows = c.derivative_rows(t, k + 1)
     top = rows.submatrix(range(k + 1), range(c.n + 1))
     if top.rank() != k + 1:
@@ -159,7 +159,7 @@ def dual_curve(c: ParamCurve) -> ParamCurve:
     """
     span = c.span()
     if span.ell < 1:
-        raise ValueError("curve is a point")
+        raise InvalidInput("curve is a point")
     if span.ell < c.n:
         gamma = _rewrite_in_span(c, span)
         d = dual_curve(gamma)
@@ -234,10 +234,10 @@ def classify_strongly_isotropic_family(samples):
     classification and raises.
     """
     if not samples:
-        raise ValueError("no samples")
+        raise InvalidInput("no samples")
     for _, space in samples:
-        if not is_strong(space):
-            raise ValueError("sample tangent space has a rank-2 element")
+        if not space.dim or not is_strong(space):
+            raise InvalidInput("sample tangent space is zero or has a rank-2 element")
     dims = {space.dim for _, space in samples}
     if dims == {1}:
         return "curve", None
@@ -248,12 +248,12 @@ def classify_strongly_isotropic_family(samples):
         results.append(alpha_beta_type(space))
     tags = {tag for tag, _ in results}
     if len(tags) != 1:
-        raise AssertionError("mixed alpha/beta structure across samples")
+        raise InvalidInput("mixed alpha/beta structure across samples")
     tag = tags.pop()
     witness = results[0][1]
     for _, w in results[1:]:
         if not w.same_as(witness):
-            raise AssertionError("witness subspace varies across samples")
+            raise InvalidInput("witness subspace varies across samples")
     return tag, witness
 
 

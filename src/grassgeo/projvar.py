@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import univariate
-from .errors import SamplingError
+from .errors import InvalidInput, SamplingError, Unsupported
 from .grassmann import Subspace, hyperplane_subspace, point_subspace
 from .groebner import eliminate
 from .hilbert import hilbert_dim_degree
@@ -30,9 +30,9 @@ class ProjVariety:
         gens = tuple(g for g in gens if g)
         for g in gens:
             if g.ring != ring:
-                raise ValueError("generator outside the ambient ring")
+                raise InvalidInput("generator outside the ambient ring")
             if check and not g.is_homogeneous():
-                raise ValueError("generators must be homogeneous")
+                raise InvalidInput("generators must be homogeneous")
         self.ring = ring
         self.gens = gens
         self.ideal = Ideal(ring, gens)
@@ -40,11 +40,11 @@ class ProjVariety:
         if parametrization is not None:
             pring, coords = parametrization
             if len(coords) != ring.nvars:
-                raise ValueError("parametrization needs %d coordinates" % ring.nvars)
+                raise InvalidInput("parametrization needs %d coordinates" % ring.nvars)
             if check:
                 for g in gens:
                     if g.substitute(pring, list(coords)):
-                        raise ValueError("parametrization does not satisfy the ideal")
+                        raise InvalidInput("parametrization does not satisfy the ideal")
         self._dim_deg = None
         self._dual = None
 
@@ -194,7 +194,7 @@ def dual_variety(v: ProjVariety) -> ProjVariety:
         return v._dual
     c = v.codim()
     if len(v.gens) != c:
-        raise ValueError("dual variety implemented for complete intersections only")
+        raise Unsupported("dual variety implemented for complete intersections only")
     n = v.n
     field = v.field
     xs = ["x%d" % i for i in range(n + 1)]

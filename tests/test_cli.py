@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+import grassgeo.cli
 from grassgeo.cli import main
 
 
@@ -86,16 +88,6 @@ def test_classify_family_command(tmp_path, capsys):
     assert rep["results"]["witness"]["ell"] == 0
 
 
-def test_exit_code_on_input_error(capsys):
-    code = main(["chow", "--variety", "/nonexistent/file.json"])
-    assert code == 2
-
-
-def test_exit_code_on_bad_poly(capsys):
-    code = main(["contact", "--f", "x0^-1", "--n", "3", "--m", "2"])
-    assert code == 2
-
-
 def test_determinism_byte_identical(capsys):
     argv = ["sample-associated", "--variety", "twisted-cubic", "--ell", "1", "--samples", "3", "--seed", "11"]
     code1 = main(argv)
@@ -104,13 +96,6 @@ def test_determinism_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_exit_code_on_sampling_budget(capsys):
-    # over Q with no parametrization there is no point sampler: budget-style exit
-    code = main(["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3", "--n", "3",
-                 "--m", "2", "--samples", "1", "--field", "q"])
-    assert code == 3
 
 
 def test_classify_over_q_survives_first_order_rank_drops(capsys):
@@ -122,3 +107,56 @@ def test_classify_over_q_survives_first_order_rank_drops(capsys):
     reports = rep["results"]["reports"]
     assert len(reports) == 5
     assert all((r["verdict"], r["type"], r["space_dim"]) == ("coisotropic", "beta", 2) for r in reports)
+
+
+EXIT_CASES = {
+    "missing-file": (["chow", "--variety", "/nonexistent/file.json"], 2, "file.json"),
+    "bad-poly": (["contact", "--f", "x0^-1", "--n", "3", "--m", "2"], 2, "position"),
+    "variety-without-n": (["chow", "--variety", "{no_n}"], 2, "'n'"),
+    "variety-as-list": (["chow", "--variety", "{as_list}"], 2, "as_list.json"),
+    "truncated-json": (["chow", "--variety", "{truncated}"], 2, "truncated.json"),
+    "composite-modulus": (["chow", "--variety", "twisted-cubic", "--field", "fp:4"], 2, "not prime"),
+    "non-numeric-modulus": (["chow", "--variety", "twisted-cubic", "--field", "fp:abc"], 2, "fp:abc"),
+    "hurwitz-segre": (["hurwitz", "--variety", "segre-2x4"], 2, "tangency encoding"),
+    "polar-degrees-segre": (["polar-degrees", "--variety", "segre-2x4"], 2, "dual dimension"),
+    # three direction variables per chart: out of the point solver's scope
+    "contact-m5": (
+        ["contact", "--f", "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + x5^5 + x0*x1*x2*x3*x4",
+         "--n", "5", "--m", "5", "--samples", "1"],
+        2,
+        "2 variables",
+    ),
+    # over Q with no parametrization there is no point sampler: budget-style exit
+    "sampling-budget": (
+        ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3", "--n", "3",
+         "--m", "2", "--samples", "1", "--field", "q"],
+        3,
+        "budget",
+    ),
+    # an internal bug is not an input error: main lets it propagate
+    "internal-bug": (["dualize", "--variety", "quadric-surface"], KeyError, None),
+}
+
+
+def _broken_dual_variety(v):
+    raise KeyError("internal")
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_codes(case, tmp_path, capsys, monkeypatch):
+    files = {"no_n": '{"generators": []}', "as_list": "[3]", "truncated": '{"n": 3, "gen'}
+    for name, text in files.items():
+        (tmp_path / (name + ".json")).write_text(text)
+    argv, want, message = EXIT_CASES[case]
+    argv = [a.format(**{k: str(tmp_path / (k + ".json")) for k in files}) for a in argv]
+    if want is KeyError:
+        monkeypatch.setattr(grassgeo.cli, "dual_variety", _broken_dual_variety)
+        with pytest.raises(KeyError):
+            main(argv)
+        return
+    started = time.monotonic()
+    code = main(argv)
+    assert time.monotonic() - started < 10
+    assert code == want
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
