@@ -27,7 +27,7 @@ class FieldMismatch(GrassgeoError, TypeError):
 
 
 class BudgetExceeded(GrassgeoError, RuntimeError):
-    """A configurable step budget ran out (Groebner/elimination)."""
+    """A Groebner computation spent its budget of term operations."""
 
     exit_code = 3
 

@@ -1,14 +1,17 @@
 """Sparse multivariate polynomials over an exact field.
 
 A ring fixes the variable names, the coefficient field and a monomial
-order; polynomials are immutable dicts {exponent tuple: coefficient}
+order.  Each order has two sort keys: `key` ascends with the order and
+`desc_key` descends with it (the smallest `desc_key` is the largest
+monomial), so that a `heapq` of `desc_key`s pops leading terms first.
+Polynomials are immutable dicts {exponent tuple: coefficient}
 with no zero coefficients stored.  Orders provided: degrevlex (the
 default), lex, and block (product) orders used for elimination.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import le, mul, sub
 
 from .errors import FieldMismatch
 
@@ -19,6 +22,10 @@ class DegRevLex:
     @staticmethod
     def key(e):
         return (sum(e), tuple(-x for x in reversed(e)))
+
+    @staticmethod
+    def desc_key(e):
+        return (-sum(e), e[::-1])
 
     def __repr__(self):
         return self.name
@@ -36,6 +43,10 @@ class Lex:
     @staticmethod
     def key(e):
         return e
+
+    @staticmethod
+    def desc_key(e):
+        return tuple(-x for x in e)
 
     def __repr__(self):
         return self.name
@@ -63,6 +74,10 @@ class BlockOrder:
     def key(self, e):
         a, b = e[: self.split], e[self.split :]
         return (DegRevLex.key(a), DegRevLex.key(b))
+
+    def desc_key(self, e):
+        a, b = e[: self.split], e[self.split :]
+        return (DegRevLex.desc_key(a), DegRevLex.desc_key(b))
 
     def __repr__(self):
         return "block(%d)" % self.split
@@ -404,15 +419,15 @@ def linear_combinations(polys, rows):
 
 
 def monomial_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def standard_ring(field, n, order=DEGREVLEX, prefix="x"):

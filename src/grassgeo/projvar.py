@@ -123,7 +123,8 @@ def sample_smooth_point(v: ProjVariety, seed, height=12):
     Parametrized varieties draw parameter values; otherwise, over a
     prime field, hypersurfaces are sliced with random lines and the
     first smooth point among the roots of the restriction, in
-    ascending order of the line parameter, is taken.
+    ascending order of the line parameter, is taken.  Other varieties
+    raise `Unsupported`: no seed can help them.
     """
     stream = Stream(seed, "smooth-point")
     if v.parametrization is not None:
@@ -139,9 +140,9 @@ def sample_smooth_point(v: ProjVariety, seed, height=12):
                 return x
         raise SamplingError("no smooth point found within budget")
     if v.field.kind != "fp":
-        raise SamplingError("sampling needs a parametrization or a prime field")
+        raise Unsupported("sampling needs a parametrization or a prime field")
     if len(v.gens) != 1:
-        raise SamplingError("line scanning supports hypersurfaces only")
+        raise Unsupported("line scanning supports hypersurfaces only")
     f = v.gens[0]
     field = v.field
     for k in range(SAMPLE_RETRIES):
