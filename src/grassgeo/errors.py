@@ -1,10 +1,10 @@
 """Shared exception types, each with the exit code `cli.main` returns for it.
 
 2 (the default): the input is rejected, unparsable, outside the
-implemented scope or fails a certificate's preconditions.  3: a seeded
-run ran out of budget or retries (BudgetExceeded, SamplingError,
-NonGeneralConfiguration), and a new --seed may succeed.  Any other
-exception is a bug and ends in a traceback.
+implemented scope or fails a certificate's preconditions.  3: a work
+budget or retry budget ran out (BudgetExceeded, SamplingError,
+NonGeneralConfiguration); a new --seed may help only when the command
+takes one.  Any other exception is a bug and ends in a traceback.
 """
 
 

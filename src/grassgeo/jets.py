@@ -108,7 +108,7 @@ class JetRing:
 
     def of(self, x):
         if isinstance(x, Jet):
-            return x
+            return Jet(self.base.of(x.a), self.base.of(x.b))
         return Jet(self.base.of(x), self.base.zero)
 
     def variable(self, value, slope=None):

@@ -9,26 +9,161 @@ back substitution to it, `det` reads the signed product of its pivots,
 and rank, kernels, inverses and solutions all go through `rref`.  The
 pivot is the first unit at or below the current row, so reduced
 echelon forms, kernels and ranks are bit-stable across runs.
+
+Elimination and products run on raw scalars through one row kernel
+per scalar kind.  Over F_p the entries are unwrapped once to Python
+ints mod p, and over jets over F_p to int pairs (a, b) standing for
+a + b*eps; over Q and jets over Q the field's own elements are used.
+Results are wrapped into field elements once, and a matrix built from
+rows that are already in its field is not coerced again.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from functools import lru_cache
+from operator import add, itemgetter, mul, neg, sub
 
 from .errors import FieldMismatch, NonGeneralConfiguration
+from .fields import Fp
+from .jets import Jet
 
 
-def _is_unit(x):
-    if hasattr(x, "is_unit"):
-        return x.is_unit()
-    return bool(x)
+class _Elements:
+    """Row kernel over Q and jets over Q: the field's own elements and operators."""
+
+    nonzero = staticmethod(bool)
+    mul = staticmethod(mul)
+    neg = staticmethod(neg)
+    unwrap = staticmethod(list)  # rows are replaced, never changed in place
+
+    def __init__(self, field):
+        self.one = field.one
+        self.zero = field.zero
+        self.unit = Jet.is_unit if field.kind == "jet" else bool
+
+    @staticmethod
+    def wrap(rows):
+        return tuple(map(tuple, rows))
+
+    def inv(self, x):
+        return self.one / x
+
+    # Both row operations skip zero entries: a Fraction product costs a
+    # gcd even when one factor is 0.
+    @staticmethod
+    def scale(row, c):
+        return [x * c if x else x for x in row]
+
+    @staticmethod
+    def axpy(row, f, pivot_row):
+        """row - f * pivot_row; the zeros of pivot_row (its leading columns) cost nothing."""
+        return [a - f * b if b else a for a, b in zip(row, pivot_row)]
+
+    def dot(self, u, v):
+        products = map(mul, u, v)
+        return sum(products, next(products, self.zero))
+
+
+class _Ints:
+    """Row kernel over F_p: Python ints in [0, p)."""
+
+    one = 1
+    unit = nonzero = staticmethod(bool)
+
+    def __init__(self, p):
+        self.p = p
+
+    @staticmethod
+    def unwrap(rows):
+        return [[x.v for x in r] for r in rows]
+
+    def wrap(self, rows):
+        p = self.p
+        return tuple(tuple(Fp(x, p) for x in r) for r in rows)
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def neg(self, x):
+        return -x % self.p
+
+    def scale(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def axpy(self, row, f, pivot_row):
+        p = self.p
+        return [(a - f * b) % p for a, b in zip(row, pivot_row)]
+
+    def dot(self, u, v):
+        return sum(map(mul, u, v)) % self.p
+
+
+class _IntPairs:
+    """Row kernel over jets over F_p: a + b*eps as the int pair (a, b) in [0, p)^2."""
+
+    one = (1, 0)
+    unit = staticmethod(itemgetter(0))  # the value part
+    nonzero = staticmethod(any)
+
+    def __init__(self, p):
+        self.p = p
+
+    @staticmethod
+    def unwrap(rows):
+        return [[(x.a.v, x.b.v) for x in r] for r in rows]
+
+    def wrap(self, rows):
+        p = self.p
+        return tuple(tuple(Jet(Fp(a, p), Fp(b, p)) for a, b in r) for r in rows)
+
+    def inv(self, x):
+        a, b = x
+        inv = pow(a, -1, self.p)
+        return inv, -b * inv * inv % self.p
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        return a * c % self.p, (a * d + b * c) % self.p
+
+    def neg(self, x):
+        return -x[0] % self.p, -x[1] % self.p
+
+    def scale(self, row, c):
+        p = self.p
+        c, d = c
+        return [(a * c % p, (a * d + b * c) % p) for a, b in row]
+
+    def axpy(self, row, f, pivot_row):
+        p = self.p
+        f, g = f
+        return [((a - f * c) % p, (b - f * d - g * c) % p) for (a, b), (c, d) in zip(row, pivot_row)]
+
+    def dot(self, u, v):
+        x = y = 0
+        for (a, b), (c, d) in zip(u, v):
+            x += a * c
+            y += a * d + b * c
+        return x % self.p, y % self.p
+
+
+@lru_cache(maxsize=None)
+def _kernel(field):
+    if field.kind == "fp":
+        return _Ints(field.p)
+    if field.kind == "jet" and field.base.kind == "fp":
+        return _IntPairs(field.base.p)
+    return _Elements(field)
 
 
 class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field, rows, ncols=None):
-        """ncols may be left out when there is at least one row."""
+        """Entries are coerced into field; ncols may be left out when there is at least one row."""
         rows = tuple(tuple(field.of(x) for x in r) for r in rows)
         if ncols is None:
             if not rows:
@@ -41,16 +176,25 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
+    @classmethod
+    def _of(cls, field, rows, ncols):
+        """A matrix from a tuple of row tuples whose entries are already elements of field."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
     # -- constructors -------------------------------------------------
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls._of(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._of(field, ((field.zero,) * ncols,) * nrows, ncols)
 
     # -- basics --------------------------------------------------------
     def __getitem__(self, ij):
@@ -79,62 +223,58 @@ class Matrix:
 
     def transpose(self):
         # zip of no rows gives no columns, hence the explicit empty ones
-        return Matrix(self.field, list(zip(*self.rows)) or [()] * self.ncols, self.nrows)
+        return Matrix._of(self.field, tuple(zip(*self.rows)) or ((),) * self.ncols, self.nrows)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(self.field, [[self.rows[i][j] for j in col_idx] for i in row_idx], len(col_idx))
+        rows = tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx)
+        return Matrix._of(self.field, rows, len(col_idx))
+
+    def _check_same_field(self, other, what):
+        if other.field != self.field:
+            raise FieldMismatch("%s of matrices over different fields" % what)
 
     def stack(self, other):
         if other.ncols != self.ncols:
             raise ValueError("column mismatch in stack")
-        if other.field != self.field:
-            raise FieldMismatch("stacking matrices over different fields")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
+        self._check_same_field(other, "stack")
+        return Matrix._of(self.field, self.rows + other.rows, self.ncols)
+
+    def _entrywise(self, op, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        self._check_same_field(other, "sum")
+        rows = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.rows, other.rows))
+        return Matrix._of(self.field, rows, self.ncols)
 
     def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return self._entrywise(sub, other)
 
     def scale(self, c):
         c = self.field.of(c)
-        return Matrix(self.field, [[c * x for x in r] for r in self.rows], self.ncols)
+        return Matrix._of(self.field, tuple(tuple(c * x for x in r) for r in self.rows), self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        cols = other.transpose().rows
-        z = self.field.zero
-        return Matrix(
-            self.field,
-            [[_dot(r, c, z) for c in cols] for r in self.rows],
-            other.ncols,
-        )
+        self._check_same_field(other, "product")
+        k = _kernel(self.field)
+        cols = k.unwrap(other.transpose().rows)
+        dot = k.dot
+        rows = k.wrap([[dot(r, c) for c in cols] for r in k.unwrap(self.rows)])
+        return Matrix._of(self.field, rows, other.ncols)
 
     def apply_row(self, v):
         """Row vector times matrix: v @ self."""
         if len(v) != self.nrows:
             raise ValueError("length mismatch")
-        cols = self.transpose().rows
-        z = self.field.zero
-        return tuple(_dot(v, c, z) for c in cols)
+        return (Matrix(self.field, [v], self.nrows) @ self).rows[0]
 
     # -- elimination ----------------------------------------------------
-    def _forward(self):
-        """The one elimination pass: (pivot columns, row lists, signed pivot product).
+    def _forward(self, k):
+        """The one elimination pass, on k's raw scalars: (pivot columns, rows, signed pivot product).
 
         The pivot of each column is the first unit at or below the
         current row; its row is scaled to 1 and the entries below it are
@@ -143,44 +283,44 @@ class Matrix:
         column may hold nilpotents, and a nonzero row left below the
         pivots means the rank drops only to first order, which raises.
         """
-        m = [list(r) for r in self.rows]
+        m = k.unwrap(self.rows)
+        unit, nonzero, axpy = k.unit, k.nonzero, k.axpy
         nr = self.nrows
-        one = self.field.one
         piv_cols = []
-        prod = one
+        prod = k.one
         r = 0
         for c in range(self.ncols):
             if r == nr:
                 break
             for sel in range(r, nr):
-                if _is_unit(m[sel][c]):
+                if unit(m[sel][c]):
                     break
             else:
                 continue
             if sel != r:
                 m[r], m[sel] = m[sel], m[r]
-                prod = -prod
-            prod = prod * m[r][c]
-            inv = one / m[r][c]
-            pr = m[r] = [x * inv if x else x for x in m[r]]
+                prod = k.neg(prod)
+            prod = k.mul(prod, m[r][c])
+            pr = m[r] = k.scale(m[r], k.inv(m[r][c]))
             for i in range(r + 1, nr):
-                if m[i][c]:
-                    m[i] = _subtract_multiple(m[i], m[i][c], pr)
+                if nonzero(m[i][c]):
+                    m[i] = axpy(m[i], m[i][c], pr)
             piv_cols.append(c)
             r += 1
-        if any(x for row in m[r:] for x in row):
+        if any(nonzero(x) for row in m[r:] for x in row):
             raise NonGeneralConfiguration("rank drops to first order")
         return piv_cols, m, prod
 
     def rref(self):
         """Reduced row echelon form; returns (pivot columns, Matrix)."""
-        piv_cols, m, _ = self._forward()
+        k = _kernel(self.field)
+        piv_cols, m, _ = self._forward(k)
         for r in reversed(range(len(piv_cols))):
             c = piv_cols[r]
             for i in range(r):
-                if m[i][c]:
-                    m[i] = _subtract_multiple(m[i], m[i][c], m[r])
-        return tuple(piv_cols), Matrix(self.field, m, self.ncols)
+                if k.nonzero(m[i][c]):
+                    m[i] = k.axpy(m[i], m[i][c], m[r])
+        return tuple(piv_cols), Matrix._of(self.field, k.wrap(m), self.ncols)
 
     def rank(self):
         return len(self.rref()[0])
@@ -188,7 +328,7 @@ class Matrix:
     def row_space_basis(self):
         """Nonzero rows of the RREF."""
         piv, red = self.rref()
-        return Matrix(self.field, red.rows[: len(piv)], self.ncols)
+        return Matrix._of(self.field, red.rows[: len(piv)], self.ncols)
 
     def nullspace(self):
         """Basis (as rows, reduced echelon) of {v : self @ v = 0}."""
@@ -201,8 +341,8 @@ class Matrix:
             v[fc] = o
             for r, pc in enumerate(piv):
                 v[pc] = -red.rows[r][fc]
-            basis.append(v)
-        return Matrix(self.field, basis, self.ncols).row_space_basis()
+            basis.append(tuple(v))
+        return Matrix._of(self.field, tuple(basis), self.ncols).row_space_basis()
 
     def left_nullspace(self):
         return self.transpose().nullspace()
@@ -210,26 +350,25 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        piv_cols, _, prod = self._forward()
-        return prod if len(piv_cols) == self.nrows else self.field.zero
+        k = _kernel(self.field)
+        piv_cols, _, prod = self._forward(k)
+        return k.wrap([[prod]])[0][0] if len(piv_cols) == self.nrows else self.field.zero
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
-        aug = Matrix(
-            self.field,
-            [list(r) + list(e) for r, e in zip(self.rows, Matrix.identity(self.field, self.nrows).rows)],
-            2 * self.nrows,
-        )
+        n = self.nrows
+        eye = Matrix.identity(self.field, n).rows
+        aug = Matrix._of(self.field, tuple(r + e for r, e in zip(self.rows, eye)), 2 * n)
         piv, red = aug.rref()
-        if list(piv[: self.nrows]) != list(range(self.nrows)):
+        if list(piv[:n]) != list(range(n)):
             raise ValueError("matrix not invertible")
-        return Matrix(self.field, [r[self.nrows :] for r in red.rows], self.nrows)
+        return Matrix._of(self.field, tuple(r[n:] for r in red.rows), n)
 
     def solve(self, b):
         """One solution x of self @ x = b (b a vector), or None."""
         bb = [self.field.of(x) for x in b]
-        aug = Matrix(self.field, [list(r) + [x] for r, x in zip(self.rows, bb)], self.ncols + 1)
+        aug = Matrix._of(self.field, tuple(r + (x,) for r, x in zip(self.rows, bb)), self.ncols + 1)
         piv, red = aug.rref()
         if self.ncols in piv:
             return None
@@ -243,21 +382,11 @@ class Matrix:
         return all(not x for r in self.rows for x in r)
 
 
-def _subtract_multiple(row, f, pivot_row):
-    """row - f * pivot_row; the zeros of pivot_row (its leading columns, over a field) cost nothing."""
-    return [a - f * b if b else a for a, b in zip(row, pivot_row)]
-
-
-def _dot(u, v, zero):
-    products = map(mul, u, v)
-    return sum(products, next(products, zero))
-
-
 def rank_kernel(m: Matrix):
     """(rank, kernel basis rows, row space basis rows), all reduced echelon."""
     piv, red = m.rref()
     rank = len(piv)
-    row_basis = Matrix(m.field, red.rows[:rank], m.ncols)
+    row_basis = Matrix._of(m.field, red.rows[:rank], m.ncols)
     return rank, m.nullspace(), row_basis
 
 
