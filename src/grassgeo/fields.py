@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import univariate
 from .errors import FieldMismatch, InvalidInput
 
 
@@ -136,6 +135,8 @@ class Fp:
 
     def sqrt(self):
         """The smallest square root in F_p, or None if there is none."""
+        from . import univariate  # imported here: univariate imports this module
+
         found = univariate.roots([-self, Fp(0, self.p), Fp(1, self.p)], GF(self.p))
         return found[0] if found else None
 

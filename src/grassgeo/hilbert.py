@@ -143,10 +143,7 @@ def local_multiplicity(ideal: Ideal, point, cap=24):
     if not gens:
         raise NotIsolated("zero ideal")
     if nv == 1:
-        acc = []
-        for g in gens:
-            acc = univariate.gcd(acc, univariate.coeffs(g))
-        v = univariate.valuation(acc)
+        v = univariate.valuation(univariate.poly_gcd(gens))
         if v == 0:
             raise ValueError("point is not on the zero set")
         return v

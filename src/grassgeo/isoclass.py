@@ -27,18 +27,8 @@ from .poly import LEX, Ideal, PolyRing
 
 def univariate_roots(poly):
     """((root, multiplicity) list, fully_split flag) over the base field."""
-    fld = poly.ring.field
-    work = univariate.coeffs(poly)
-    found = []
-    for r in univariate.roots(work, fld):
-        mult = 0
-        while True:
-            q, rem = univariate.quo_rem(work, [-r, fld.one])
-            if rem:
-                break
-            work, mult = q, mult + 1
-        found.append((r, mult))
-    return found, len(work) == 1
+    found, cofactor = univariate.root_multiplicities(univariate.coeffs(poly), poly.ring.field)
+    return found, len(cofactor) == 1
 
 
 def affine_points_zero_dim(ideal: Ideal):
@@ -79,9 +69,7 @@ def affine_points_zero_dim(ideal: Ideal):
                 subbed.append(img.map_to(uring))
         if not subbed:
             raise CertificateNotApplicable("fiber not finite")
-        acc = []
-        for g in subbed:
-            acc = univariate.gcd(acc, univariate.coeffs(g))
+        acc = univariate.poly_gcd(subbed)
         uroots, usplit = univariate_roots(uring.from_terms(((i,), c) for i, c in enumerate(acc)))
         complete = complete and usplit
         for u, _ in uroots:

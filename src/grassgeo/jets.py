@@ -47,7 +47,11 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._co(other)
+        o = other
+        if not isinstance(o, Jet):
+            # lift a scalar divisor into the base field: o.a / o.a would be a float for an int
+            zero = self.a * 0
+            o = Jet(zero + other, zero)
         if not o.a:
             raise NonGeneralConfiguration("division by a non-unit jet")
         inv = (o.a / o.a) / o.a

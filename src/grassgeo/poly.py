@@ -221,7 +221,7 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise FieldMismatch("polynomials from different rings")
 
     def __add__(self, other):
@@ -324,12 +324,15 @@ class Poly:
         """Ring map sending var i to images[i] (Poly in target_ring)."""
         if len(images) != self.ring.nvars:
             raise ValueError("need an image for every variable")
+        powers = [[target_ring.one()] for _ in images]  # powers[i][k] = images[i]**k
         out = target_ring.zero()
         for e, c in sorted(self.terms.items()):
             t = target_ring.const(c)
-            for img, k in zip(images, e):
+            for img, pw, k in zip(images, powers, e):
                 if k:
-                    t = t * img**k
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * img)
+                    t = t * pw[k]
             out = out + t
         return out
 

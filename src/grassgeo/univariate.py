@@ -3,7 +3,14 @@
 A polynomial is a list of field elements, constant term first, without
 trailing zeros; the zero polynomial is the empty list.  This module is
 the one home of univariate division, gcd, valuation, Horner evaluation,
-restriction of a multivariate `Poly` to a line, and root finding.
+restriction of a multivariate `Poly` to a line, root finding and root
+multiplicities.
+
+Division, gcd, products and powers mod a polynomial are written once,
+over a small kernel per field: Python ints in [0, p) over F_p, reduced
+once per computed coefficient, and Fractions over Q.  Each public
+function unwraps its arguments into the kernel once and wraps its
+result into field elements once, so no `Fp` arithmetic runs inside.
 
 Over F_p the roots of f are those of g = gcd(f, t^p - t), with t^p mod f
 computed by square-and-multiply; g is split by equal-degree splitting
@@ -18,7 +25,75 @@ the candidates come from the rational root theorem.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
+
+from .fields import GF, QQ, Fp
+
+
+class _Ints:
+    """Kernel over F_p: Python ints in [0, p)."""
+
+    zero, one = 0, 1
+
+    def __init__(self, field):
+        self.of = field.of
+        self.p = field.p
+
+    def unwrap(self, f):
+        of = self.of
+        return [of(x).v for x in f]
+
+    def wrap(self, f):
+        p = self.p
+        return [Fp(x, p) for x in f]
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def reduce(self, x):
+        return x % self.p
+
+    def reduce_all(self, f):
+        p = self.p
+        return [x % p for x in f]
+
+
+class _Fractions:
+    """Kernel over Q: Fractions, which need no reduction."""
+
+    zero, one = Fraction(0), Fraction(1)
+    p = None
+    wrap = staticmethod(list)
+
+    @staticmethod
+    def unwrap(f):
+        return list(map(QQ.of, f))
+
+    @staticmethod
+    def inv(x):
+        return 1 / x
+
+    @staticmethod
+    def reduce(x):
+        return x
+
+    @staticmethod
+    def reduce_all(f):
+        return f
+
+
+@lru_cache(maxsize=None)
+def _kernel(field):
+    return _Ints(field) if field.kind == "fp" else _Fractions()
+
+
+def _field_of(*polys):
+    """The field of the first coefficient found: F_p for `Fp` elements, else Q."""
+    for f in polys:
+        if f:
+            return GF(f[-1].p) if isinstance(f[-1], Fp) else QQ
+    return QQ
 
 
 def _trim(f):
@@ -37,17 +112,20 @@ def coeffs(poly):
 
 def restrict(poly, a, b):
     """Coefficients of t |-> poly(a + t*b) for points a, b of the ring's field."""
-    zero = poly.ring.field.zero
-    out = [zero] * (poly.total_degree() + 1)
-    for e, c in poly.terms.items():
+    k = _kernel(poly.ring.field)
+    # powers[i][n] = (a_i + t*b_i)^n, built as the terms ask for them
+    powers = [[[k.one], [ai, bi]] for ai, bi in zip(k.unwrap(a), k.unwrap(b))]
+    out = [k.zero] * (poly.total_degree() + 1)
+    for e, c in zip(poly.terms, k.unwrap(poly.terms.values())):
         term = [c]
-        for ai, bi, k in zip(a, b, e):
-            for _ in range(k):
-                # term * (ai + t*bi)
-                term = [x * ai + y * bi for x, y in zip(term + [zero], [zero] + term)]
+        for pw, n in zip(powers, e):
+            if n:
+                while len(pw) <= n:
+                    pw.append(k.reduce_all(_mul(pw[-1], pw[1], k)))
+                term = k.reduce_all(_mul(term, pw[n], k))
         for j, x in enumerate(term):
-            out[j] = out[j] + x
-    return _trim(out)
+            out[j] += x
+    return k.wrap(_trim(k.reduce_all(out)))
 
 
 def valuation(f):
@@ -70,27 +148,26 @@ def quo_rem(f, g):
     """(q, r) with f = q*g + r and deg r < deg g, for nonzero g."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    dg = len(g) - 1
-    inv = 1 / g[-1]
-    r = list(f)
-    q = [None] * max(len(f) - dg, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + dg] * inv
-        q[k] = c
-        if c:
-            for j in range(dg):
-                r[k + j] = r[k + j] - c * g[j]
-    return _trim(q), _trim(r[:dg])
+    k = _kernel(_field_of(g))
+    q, r = _quo_rem(k.unwrap(f), k.unwrap(g), k)
+    return k.wrap(q), k.wrap(r)
 
 
 def gcd(f, g):
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    while g:
-        f, g = g, quo_rem(f, g)[1]
-    if not f:
-        return f
-    inv = 1 / f[-1]
-    return [c * inv for c in f]
+    k = _kernel(_field_of(f, g))
+    return k.wrap(_gcd(k.unwrap(f), k.unwrap(g), k))
+
+
+def poly_gcd(polys):
+    """Monic gcd of the coefficient lists of one-variable `Poly`s; [] when all are zero."""
+    if not polys:
+        return []
+    k = _kernel(polys[0].ring.field)
+    acc = []
+    for g in polys:
+        acc = _gcd(acc, k.unwrap(coeffs(g)), k)
+    return k.wrap(acc)
 
 
 def roots(f, field):
@@ -99,56 +176,113 @@ def roots(f, field):
     0 comes first when it is a root, then the other roots in ascending
     order (elements of F_p by their value).
     """
+    k = _kernel(field)
+    return k.wrap(_roots(k.unwrap(f), k))
+
+
+def root_multiplicities(f, field):
+    """((root, multiplicity) list, cofactor) for a nonzero f in the field.
+
+    The roots come in the order of `roots`; the cofactor is f divided by
+    (t - r)^multiplicity for every root r, so it has no root in the field.
+    """
+    k = _kernel(field)
+    work = k.unwrap(f)
+    found = _roots(work, k)
+    mults = []
+    for r in found:
+        mult = 0
+        while True:
+            q, rem = _quo_rem(work, [k.reduce(-r), k.one], k)
+            if rem:
+                break
+            work, mult = q, mult + 1
+        mults.append(mult)
+    return list(zip(k.wrap(found), mults)), k.wrap(work)
+
+
+# ---------------------------------------------------------------------------
+# the algorithms, on kernel scalars
+
+
+def _mul(f, g, k):
+    """f*g, each coefficient a sum of unreduced products: the caller reduces."""
+    if not f or not g:
+        return []
+    out = [k.zero] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
+
+
+def _quo_rem(f, g, k):
+    """(q, r) reduced, for f with unreduced coefficients and g reduced and nonzero."""
+    dg = len(g) - 1
+    inv = k.one if g[-1] == k.one else k.inv(g[-1])
+    r = list(f)
+    q = [k.zero] * max(len(f) - dg, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = k.reduce(r[i + dg] * inv)
+        if c:
+            for j in range(dg):
+                r[i + j] -= c * g[j]
+    return _trim(q), _trim(k.reduce_all(r[:dg]))
+
+
+def _gcd(f, g, k):
+    while g:
+        f, g = g, _quo_rem(f, g, k)[1]
+    return _monic(f, k) if f else f
+
+
+def _monic(f, k):
+    inv = k.inv(f[-1])
+    return k.reduce_all([c * inv for c in f])
+
+
+def _powmod(base, e, m, k):
+    """base^e mod m by square-and-multiply."""
+    base = _quo_rem(base, m, k)[1]
+    out = [k.one]
+    for bit in bin(e)[2:]:
+        out = _quo_rem(_mul(out, out, k), m, k)[1]
+        if bit == "1":
+            out = _quo_rem(_mul(out, base, k), m, k)[1]
+    return out
+
+
+def _roots(f, k):
     if not f:
         raise ValueError("zero polynomial has every root")
     v = valuation(f)
     f = f[v:]
-    found = [field.zero] if v else []
+    found = [k.zero] if v else []
     if len(f) == 1:
         return found
-    if field.kind != "fp":
+    if k.p is None:
         return found + _rational_roots(f)
-    zero, one = field.zero, field.one
+    f = _monic(f, k)  # so that no division by f inverts its lead
     # gcd(f, t^p - t) is the product of the distinct linear factors of f
-    h = _powmod([zero, one], field.p, f, field) + [zero, zero]
-    h[1] = h[1] - one
-    return found + sorted(_split(gcd(f, _trim(h)), field), key=lambda r: r.v)
+    h = _powmod([0, 1], k.p, f, k) + [0, 0]
+    h[1] = k.reduce(h[1] - 1)
+    return found + sorted(_split(_gcd(f, _trim(h), k), k))
 
 
-def _mul(f, g, zero):
-    if not f or not g:
-        return []
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        for j, y in enumerate(g):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _powmod(base, e, m, field):
-    """base^e mod m by square-and-multiply."""
-    base = quo_rem(base, m)[1]
-    out = [field.one]
-    for bit in bin(e)[2:]:
-        out = quo_rem(_mul(out, out, field.zero), m)[1]
-        if bit == "1":
-            out = quo_rem(_mul(out, base, field.zero), m)[1]
-    return out
-
-
-def _split(g, field):
-    """Roots of a monic g that is a product of distinct linear factors."""
+def _split(g, k):
+    """Roots of a monic g over F_p that is a product of distinct linear factors."""
     if len(g) <= 2:
-        return [-g[0]] if len(g) == 2 else []
+        return [k.reduce(-g[0])] if len(g) == 2 else []
     # p is odd here: over F_2 the factor t has been removed, so g divides t - 1
-    e = (field.p - 1) // 2
+    e = (k.p - 1) // 2
     a = 0
     while True:
-        h = _powmod([field.of(a), field.one], e, g, field) + [field.zero]
-        h[0] = h[0] - field.one
-        d = gcd(g, _trim(h))
+        h = _powmod([a, 1], e, g, k) + [0]
+        h[0] = k.reduce(h[0] - 1)
+        d = _gcd(g, _trim(h), k)
         if 1 < len(d) < len(g):
-            return _split(d, field) + _split(quo_rem(g, d)[0], field)
+            return _split(d, k) + _split(_quo_rem(g, d, k)[0], k)
         a += 1
 
 

@@ -8,6 +8,7 @@ from grassgeo.errors import FieldMismatch, UnsupportedArity
 from grassgeo.fields import GF, QQ, Fp, is_prime
 from grassgeo.groebner import buchberger, eliminate, groebner, normal_form
 from grassgeo.hilbert import hilbert_dim_degree, local_multiplicity
+from grassgeo.jets import JetRing
 from grassgeo.linalg import Matrix, rank_kernel
 from grassgeo.poly import DEGREVLEX, LEX, Ideal, PolyRing
 
@@ -25,6 +26,18 @@ def test_fp_arithmetic():
         a + Fp(1, 7)
     with pytest.raises(FieldMismatch):
         a + Fraction(1, 2)
+
+
+@pytest.mark.parametrize("base", [QQ, GF(5)], ids=repr)
+def test_jet_divided_by_an_int_stays_in_the_base_field(base):
+    jr = JetRing(base)
+    x = jr.variable(3, 1)
+    for got in (x / 2, x / base.of(2), x * (base.one / 2)):
+        assert (got.a, got.b) == (base.of(3) / base.of(2), base.one / base.of(2))
+        assert type(got.a) is type(got.b) is type(base.one)
+    inv = 2 / x  # 2/3 - (2/9) eps
+    assert (inv.a, inv.b) == (base.of(2) / base.of(3), -base.of(2) / base.of(9))
+    assert type(inv.a) is type(inv.b) is type(base.one)
 
 
 def _trial_division_is_prime(n):
@@ -142,6 +155,32 @@ def test_poly_basicss():
     assert f.evaluate([QQ.of(1), QQ.of(2)]) == 9
     assert f.is_homogeneous()
     assert not (f + 1).is_homogeneous()
+
+
+def test_polys_from_different_rings_do_not_mix():
+    x = _ring("x").var(0)
+    same = _ring("x").var(0)  # an equal ring, another object
+    assert x + same == 2 * x and x * same == x**2
+    for other in (_ring("x", field=GF(5)), _ring("y"), _ring("x", order=LEX)):
+        y = other.var(0)
+        with pytest.raises(FieldMismatch):
+            x + y
+        with pytest.raises(FieldMismatch):
+            x * y
+
+
+def test_substitute_is_composition():
+    rng = random.Random(4)
+    R = _ring("x", "y", "z", field=F)
+    S = _ring("s", "t", field=F)
+    s, t = S.gens()
+    for _ in range(10):
+        f = R.from_terms(([rng.randrange(4) for _ in range(3)], rng.randrange(1, 101)) for _ in range(6))
+        images = [s + rng.randrange(101) * t, s * t - rng.randrange(101), t**2 + rng.randrange(101)]
+        g = f.substitute(S, images)
+        for _ in range(3):
+            pt = [F.random(rng), F.random(rng)]
+            assert g.evaluate(pt) == f.evaluate([img.evaluate(pt) for img in images])
 
 
 def test_groebner_single_gen():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from grassgeo import univariate as U
-from grassgeo.fields import GF, QQ
+from grassgeo.fields import GF, QQ, Fp
 from grassgeo.poly import PolyRing
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101)
@@ -139,3 +139,102 @@ def test_fp_sqrt_is_smallest_root(p):
         squares = [x for x in range(p) if x * x % p == a]
         s = field.of(a).sqrt()
         assert (s.v if s is not None else None) == (squares[0] if squares else None)
+
+
+def _brute_force_multiplicities(f, p):
+    """(x, m) for each x in F_p with (t - x)^m the largest power dividing f, by synthetic division."""
+    found = []
+    for x in range(p):
+        work, mult = [c.v for c in f], 0
+        while len(work) > 1:
+            acc, steps = 0, []
+            for c in reversed(work):
+                acc = (acc * x + c) % p
+                steps.append(acc)
+            if acc:  # the remainder f(x)
+                break
+            work, mult = steps[-2::-1], mult + 1
+        if mult:
+            found.append((x, mult))
+    return found
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_root_multiplicities_match_repeated_division(p):
+    field = GF(p)
+    rng = random.Random(p)
+    R = PolyRing(field, ("t",))
+    t = R.var(0)
+    repeated = 0
+    for f in _seeded_fp_polys(field, rng):
+        found, cofactor = U.root_multiplicities(f, field)
+        want = _brute_force_multiplicities(f, p)
+        assert [(r.v, m) for r, m in found] == want
+        assert [r for r, _ in found] == U.roots(f, field)
+        assert all(type(r) is Fp and r.p == p for r, _ in found)
+        assert not _brute_force_roots(cofactor, field)
+        product = R.from_terms(((i,), c) for i, c in enumerate(cofactor))
+        for r, m in found:
+            product = product * (t - r) ** m
+        assert U.coeffs(product) == f
+        repeated += any(m > 1 for _, m in found)
+    assert repeated >= 10
+
+
+def _random_int_poly(rng, ring, terms, degree):
+    exps = [[rng.randrange(degree + 1) for _ in range(ring.nvars)] for _ in range(terms)]
+    return ring.from_terms((e, rng.randint(-50, 50)) for e in exps if sum(e) <= degree)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 32003, 2**31 - 1))
+def test_restrict_over_fp_is_restrict_over_q_mod_p(p):
+    field = GF(p)
+    rng = random.Random(p)
+    names = ("x", "y", "z", "w")
+    for _ in range(40):
+        f = _random_int_poly(rng, PolyRing(QQ, names), rng.randrange(1, 9), rng.randrange(1, 6))
+        fp = PolyRing(field, names).from_terms(f.terms.items())
+        a = [rng.randint(-10**6, 10**6) for _ in names]
+        b = [rng.randint(-10**6, 10**6) for _ in names]
+        want = [field.of(c) for c in U.restrict(f, a, b)]
+        while want and not want[-1]:
+            want.pop()
+        assert U.restrict(fp, a, b) == want  # int points
+        got = U.restrict(fp, [field.of(x) for x in a], [field.of(x) for x in b])
+        assert got == want
+        assert all(type(c) is Fp and c.p == p for c in got)
+        # the cached powers: a term x^k is (a + t b)^k however k splits across terms
+        q = U.restrict(f, a, b)
+        for t in range(3):
+            point = [QQ.of(ai + t * bi) for ai, bi in zip(a, b)]
+            assert U.evaluate(q, QQ.of(t)) == f.evaluate(point)
+
+
+def test_prime_field_univariate_runs_without_fp_arithmetic(monkeypatch):
+    field = GF(32003)
+    rng = random.Random(17)
+    R = PolyRing(field, ("x", "y", "z"))
+    x, y, z = R.gens()
+    surface = x**3 + 5 * x * y * z - 7 * y**2 * z + z**3 - 11
+    t = PolyRing(field, ("t",)).var(0)
+    polys = [U.coeffs((t - 3) ** 2 * (t - 5) * (t**2 - 7) * t), U.coeffs(t**2 - 2)]
+    polys += [_random_poly(rng, field, degree) for degree in range(1, 7)]
+    points = [[field.random(rng) for _ in range(3)] for _ in range(4)]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                 "__rtruediv__", "__neg__", "__pow__"):
+        def counted(*args, _original=getattr(Fp, name)):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(Fp, name, counted)
+    field.one * field.one
+    assert len(calls) == 1  # the patch is live
+    for f in polys:
+        U.roots(f, field)
+        U.root_multiplicities(f, field)
+    U.restrict(surface, points[0], points[1])
+    U.restrict(surface, [1, 2, 3], [4, 5, 6])
+    U.gcd(polys[0], polys[2])
+    U.quo_rem(polys[0], polys[3])
+    assert len(calls) == 1
