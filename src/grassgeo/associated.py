@@ -38,7 +38,7 @@ from .groebner import eliminate, groebner, normal_form
 from .hilbert import hilbert_dim_degree
 from .jets import JetRing
 from .linalg import Matrix
-from .poly import DEGREVLEX, Ideal, PolyRing
+from .poly import DEGREVLEX, Ideal, PolyRing, normalized_generators
 from .projvar import ConormalWitness, ProjVariety, dual_variety
 from .rng import Stream
 
@@ -319,21 +319,12 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
             raise Unsupported("tangency encoding needs a hypersurface or a parametrized curve")
 
     elim = eliminate(Ideal(big, gens), pnames)
+    moved = [g.map_to(pring) for g in elim.gens]
     rel = pluecker_relations(field, ell, n)
-    rel_gb = groebner(rel) if rel.gens else rel
-    out = []
-    seen = set()
-    for g in elim.gens:
-        moved = g.map_to(pring)
-        red = normal_form(moved, rel_gb) if rel.gens else moved
-        if red and not red.is_constant():
-            red = red.monic()
-            key = frozenset(red.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(red)
-    out.sort(key=lambda g: (g.total_degree(), pring.order.key(g.lead()[0])))
-    return Ideal(pring, out)
+    if rel.gens:
+        rel_gb = groebner(rel)
+        moved = [normal_form(g, rel_gb) for g in moved]
+    return Ideal(pring, normalized_generators(moved))
 
 
 def hypersurface_range(v: ProjVariety):

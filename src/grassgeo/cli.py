@@ -157,7 +157,7 @@ def _random_subspaces(v, ell, count, seed):
     while len(out) < count:
         s = stream.spawn(k)
         k += 1
-        m = Matrix(field, [[field.random(s._r) for _ in range(v.n + 1)] for _ in range(ell + 1)])
+        m = Matrix(field, [s.vector(field, v.n + 1) for _ in range(ell + 1)])
         if m.rank() == ell + 1:
             out.append(Subspace(field, v.n, m, check=False))
     return out

@@ -31,6 +31,7 @@ from .grassmann import (
 from .hilbert import hilbert_dim_degree
 from .isoclass import (
     ClassificationReport,
+    _affine_chart,
     affine_points_zero_dim,
     classify,
     rank_one_locus,
@@ -209,11 +210,7 @@ def _solve_direction(parts, span, m, field):
             gens.append(gg)
     # projective solutions in P^{k-1}: try charts with the last coord 1 first
     for chart in range(k - 1, -1, -1):
-        rest = [aring.vars[i] for i in range(k) if i != chart]
-        small = PolyRing(field, tuple(rest), aring.order)
-        sub_imgs = [small.one() if i == chart else small.var(aring.vars[i]) for i in range(k)]
-        sub = [g.substitute(small, sub_imgs) for g in gens]
-        sub = [g for g in sub if g]
+        small, sub = _affine_chart(aring, gens, chart)
         if not sub or any(g.is_constant() for g in sub):
             continue
         pts, _ = affine_points_zero_dim(Ideal(small, sub))

@@ -6,12 +6,32 @@ carry the construction/coercion protocol used by matrices and
 polynomial rings; the elements themselves are plain Fractions or `Fp`
 instances with overloaded operators.  Arithmetic never mixes fields:
 Fp operations insist on a common modulus and refuse Fractions.
-"""
 
+Hot loops (elimination in `linalg`, division and root finding in
+`univariate`) run on raw scalars instead of field elements, through the
+one kernel that each ring descriptor carries as `ring.kernel`:
+`GF(p).kernel` holds Python ints in [0, p), `QQ.kernel` the Fractions
+themselves, and `JetRing(base).kernel` (in `jets`) int pairs (a, b) for
+a + b*eps over F_p, or the jets themselves over Q.  A kernel offers
+
+* `zero`, `one`, and `p`: the modulus, or None when nothing is reduced;
+* `unwrap(xs)` and `wrap(xs)`: a list of raw scalars from a sequence of
+  ring elements, and a list of ring elements from raw scalars.
+  `unwrap` does not coerce: a caller that may hold ints or elements of
+  another ring passes them through `ring.of` first;
+* `inv`, `mul`, `neg`, and the row operations `scale(row, c)`,
+  `axpy(row, f, pivot_row)` (row - f * pivot_row) and `dot(u, v)`, all
+  with reduced results;
+* `reduce(x)` and `reduce_all(xs)`: the canonical form of a sum of
+  products built with Python's operators (ints over F_p, Fractions
+  over Q), so such sums may be left unreduced until the end;
+* `unit(x)`, true for an invertible x, and `nonzero(x)`.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, neg
 
 from .errors import FieldMismatch, InvalidInput
 
@@ -141,11 +161,100 @@ class Fp:
         return found[0] if found else None
 
 
+class IntKernel:
+    """Kernel of F_p: Python ints in [0, p)."""
+
+    zero, one = 0, 1
+    unit = nonzero = staticmethod(bool)
+
+    def __init__(self, p):
+        self.p = p
+
+    @staticmethod
+    def unwrap(xs):
+        return [x.v for x in xs]
+
+    def wrap(self, xs):
+        p = self.p
+        return [Fp(x, p) for x in xs]
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def reduce(self, x):
+        return x % self.p
+
+    def reduce_all(self, xs):
+        p = self.p
+        return [x % p for x in xs]
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def neg(self, x):
+        return -x % self.p
+
+    def scale(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def axpy(self, row, f, pivot_row):
+        p = self.p
+        return [(a - f * b) % p for a, b in zip(row, pivot_row)]
+
+    def dot(self, u, v):
+        return sum(map(mul, u, v)) % self.p
+
+
+class ElementKernel:
+    """Kernel of a ring whose elements serve as their own raw scalars: Q, and jets over Q."""
+
+    p = None
+    nonzero = staticmethod(bool)
+    mul = staticmethod(mul)
+    neg = staticmethod(neg)
+    # fresh lists, which callers may change in place
+    unwrap = wrap = staticmethod(list)
+
+    def __init__(self, ring, unit=bool):
+        self.zero, self.one = ring.zero, ring.one
+        self.unit = unit
+
+    def inv(self, x):
+        return self.one / x
+
+    @staticmethod
+    def reduce(x):
+        return x
+
+    @staticmethod
+    def reduce_all(xs):
+        return xs
+
+    # Both row operations skip zero entries: a Fraction product costs a
+    # gcd even when one factor is 0.
+    @staticmethod
+    def scale(row, c):
+        return [x * c if x else x for x in row]
+
+    @staticmethod
+    def axpy(row, f, pivot_row):
+        """row - f * pivot_row; the zeros of pivot_row (its leading columns) cost nothing."""
+        return [a - f * b if b else a for a, b in zip(row, pivot_row)]
+
+    def dot(self, u, v):
+        products = map(mul, u, v)
+        return sum(products, next(products, self.zero))
+
+
 class RationalField:
     """Descriptor for Q."""
 
     kind = "q"
     p = None
+
+    def __init__(self):
+        self.kernel = ElementKernel(self)
 
     @property
     def zero(self):
@@ -173,12 +282,6 @@ class RationalField:
         num = rng.randrange(-height, height + 1)
         den = rng.randrange(1, height + 1)
         return Fraction(num, den)
-
-    def random_nonzero(self, rng, height=20):
-        while True:
-            x = self.random(rng, height)
-            if x:
-                return x
 
     def sqrt(self, x):
         """Exact square root of a nonnegative rational, or None."""
@@ -213,6 +316,7 @@ class PrimeField:
         if not is_prime(p):
             raise InvalidInput("%d is not prime" % p)
         self.p = p
+        self.kernel = IntKernel(p)
 
     @property
     def zero(self):
@@ -241,9 +345,6 @@ class PrimeField:
 
     def random(self, rng, height=None):
         return Fp(rng.randrange(self.p), self.p)
-
-    def random_nonzero(self, rng, height=None):
-        return Fp(rng.randrange(1, self.p), self.p)
 
     def sqrt(self, x):
         return x.sqrt()

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .errors import FieldMismatch
 from .linalg import Matrix, row_space_contains
-from .poly import Ideal, PolyRing, linear_combinations
+from .poly import Ideal, PolyRing, linear_combinations, normalized_generators
 
 
 class Subspace:
@@ -144,7 +144,6 @@ def pluecker_relations(field, ell, n) -> Ideal:
         raise ValueError("need 0 <= ell <= n")
     ring = pluecker_ring(field, ell, n)
     k = ell + 1
-    rels = set()
     out = []
     idx_of = {c: i for i, c in enumerate(combinations(range(n + 1), k))}
     nv = ring.nvars
@@ -162,15 +161,9 @@ def pluecker_relations(field, ell, n) -> Ideal:
                 e[idx_of[right]] += 1
                 e = tuple(e)
                 terms[e] = terms.get(e, 0) + coeff
-            poly = ring.from_terms(list(terms.items()))
-            if poly:
-                poly = poly.monic()
-                key = frozenset(poly.terms.items())
-                if key not in rels:
-                    rels.add(key)
-                    out.append(poly)
-    out.sort(key=lambda g: ring.order.key(g.lead()[0]))
-    return Ideal(ring, out)
+            out.append(ring.from_terms(list(terms.items())))
+    # every relation is a quadric, so the degree ties and the lead orders them
+    return Ideal(ring, normalized_generators(out))
 
 
 def evaluate_pluecker(poly, subspace: Subspace):

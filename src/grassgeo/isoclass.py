@@ -77,6 +77,21 @@ def affine_points_zero_dim(ideal: Ideal):
     return pts, complete
 
 
+def _affine_chart(ring, gens, chart, zero_before=False):
+    """(chart ring, nonzero images of gens) under x_chart = 1.
+
+    The chart ring keeps the other variables in their order; with
+    zero_before the variables before the chart are set to 0 and dropped
+    too, which gives each projective point one representative: its first
+    nonzero coordinate is 1.
+    """
+    keep = [v for i, v in enumerate(ring.vars) if i > chart or (i < chart and not zero_before)]
+    small = PolyRing(ring.field, tuple(keep), ring.order)
+    images = [small.one() if i == chart else small.zero() if i < chart and zero_before else small.var(v)
+              for i, v in enumerate(ring.vars)]
+    return small, [img for img in (g.substitute(small, images) for g in gens) if img]
+
+
 # ---------------------------------------------------------------------------
 # rank-one locus of a projectivized span
 
@@ -137,18 +152,7 @@ def rank_one_locus(space: HomSpace) -> RankOneLocus:
     complete = True
     for chart in range(k):
         # canonical representatives: first nonzero coordinate = chart position
-        sub_vars = [v for v in ideal.ring.vars[chart + 1 :]]
-        small = PolyRing(fld, tuple(sub_vars), ideal.ring.order)
-        images = []
-        for i in range(k):
-            if i < chart:
-                images.append(small.zero())
-            elif i == chart:
-                images.append(small.one())
-            else:
-                images.append(small.var(ideal.ring.vars[i]))
-        sub_gens = [g.substitute(small, images) for g in ideal.gens]
-        sub_gens = [g for g in sub_gens if g]
+        small, sub_gens = _affine_chart(ideal.ring, ideal.gens, chart, zero_before=True)
         if any(g.is_constant() for g in sub_gens):
             continue
         if len(small.vars) > 2:
@@ -171,20 +175,9 @@ def _point_multiplicity(ideal: Ideal, lam):
     chart = next(i for i, c in enumerate(lam) if c)
     fld = ideal.ring.field
     inv = fld.one / lam[chart]
-    rest_vars = [ideal.ring.vars[i] for i in range(k) if i != chart]
-    if len(rest_vars) > 2:
+    if k > 3:  # the local quotient takes at most two chart variables
         return None
-    small = PolyRing(fld, tuple(rest_vars), ideal.ring.order)
-    images = []
-    j = 0
-    for i in range(k):
-        if i == chart:
-            images.append(small.one())
-        else:
-            images.append(small.var(rest_vars[j]))
-            j += 1
-    gens = [g.substitute(small, images) for g in ideal.gens]
-    gens = [g for g in gens if g]
+    small, gens = _affine_chart(ideal.ring, ideal.gens, chart)
     point = [lam[i] * inv for i in range(k) if i != chart]
     try:
         return local_multiplicity(Ideal(small, gens), point)

@@ -7,11 +7,17 @@ kernels stay exact to first order: the kernel of [[eps, 1]] is
 (1, -eps).  Only a nonzero row left below the pivots - a rank that
 drops to first order - raises NonGeneralConfiguration, and the callers
 reseed.
+
+`JetRing(base).kernel` is the raw-scalar kernel of `fields` for jets:
+int pairs (a, b) mod p over F_p, and the jets themselves over Q.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import NonGeneralConfiguration
+from .fields import ElementKernel, Fp
 
 
 class Jet:
@@ -94,6 +100,61 @@ class Jet:
         return "(%r + %r*eps)" % (self.a, self.b)
 
 
+class PairKernel:
+    """Kernel of jets over F_p: a + b*eps as the int pair (a, b) in [0, p)^2."""
+
+    zero, one = (0, 0), (1, 0)
+    unit = staticmethod(itemgetter(0))  # the value part
+    nonzero = staticmethod(any)
+
+    def __init__(self, p):
+        self.p = p
+
+    @staticmethod
+    def unwrap(xs):
+        return [(x.a.v, x.b.v) for x in xs]
+
+    def wrap(self, xs):
+        p = self.p
+        return [Jet(Fp(a, p), Fp(b, p)) for a, b in xs]
+
+    def inv(self, x):
+        a, b = x
+        inv = pow(a, -1, self.p)
+        return inv, -b * inv * inv % self.p
+
+    def reduce(self, x):
+        return x[0] % self.p, x[1] % self.p
+
+    def reduce_all(self, xs):
+        p = self.p
+        return [(a % p, b % p) for a, b in xs]
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        return a * c % self.p, (a * d + b * c) % self.p
+
+    def neg(self, x):
+        return -x[0] % self.p, -x[1] % self.p
+
+    def scale(self, row, c):
+        p = self.p
+        c, d = c
+        return [(a * c % p, (a * d + b * c) % p) for a, b in row]
+
+    def axpy(self, row, f, pivot_row):
+        p = self.p
+        f, g = f
+        return [((a - f * c) % p, (b - f * d - g * c) % p) for (a, b), (c, d) in zip(row, pivot_row)]
+
+    def dot(self, u, v):
+        x = y = 0
+        for (a, b), (c, d) in zip(u, v):
+            x += a * c
+            y += a * d + b * c
+        return x % self.p, y % self.p
+
+
 class JetRing:
     """Field-descriptor-compatible wrapper for jets over a base field."""
 
@@ -101,6 +162,7 @@ class JetRing:
 
     def __init__(self, base):
         self.base = base
+        self.kernel = PairKernel(base.p) if base.kind == "fp" else ElementKernel(self, unit=Jet.is_unit)
 
     @property
     def zero(self):

@@ -10,153 +10,23 @@ and rank, kernels, inverses and solutions all go through `rref`.  The
 pivot is the first unit at or below the current row, so reduced
 echelon forms, kernels and ranks are bit-stable across runs.
 
-Elimination and products run on raw scalars through one row kernel
-per scalar kind.  Over F_p the entries are unwrapped once to Python
-ints mod p, and over jets over F_p to int pairs (a, b) standing for
-a + b*eps; over Q and jets over Q the field's own elements are used.
-Results are wrapped into field elements once, and a matrix built from
-rows that are already in its field is not coerced again.
+Elimination and products run on the raw scalars of `field.kernel` (see
+`fields`): rows are unwrapped once and results wrapped into field
+elements once, and a matrix built from rows that are already in its
+field is not coerced again.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, sub
 
 from .errors import FieldMismatch, NonGeneralConfiguration
-from .fields import Fp
-from .jets import Jet
 
 
-class _Elements:
-    """Row kernel over Q and jets over Q: the field's own elements and operators."""
-
-    nonzero = staticmethod(bool)
-    mul = staticmethod(mul)
-    neg = staticmethod(neg)
-    unwrap = staticmethod(list)  # rows are replaced, never changed in place
-
-    def __init__(self, field):
-        self.one = field.one
-        self.zero = field.zero
-        self.unit = Jet.is_unit if field.kind == "jet" else bool
-
-    @staticmethod
-    def wrap(rows):
-        return tuple(map(tuple, rows))
-
-    def inv(self, x):
-        return self.one / x
-
-    # Both row operations skip zero entries: a Fraction product costs a
-    # gcd even when one factor is 0.
-    @staticmethod
-    def scale(row, c):
-        return [x * c if x else x for x in row]
-
-    @staticmethod
-    def axpy(row, f, pivot_row):
-        """row - f * pivot_row; the zeros of pivot_row (its leading columns) cost nothing."""
-        return [a - f * b if b else a for a, b in zip(row, pivot_row)]
-
-    def dot(self, u, v):
-        products = map(mul, u, v)
-        return sum(products, next(products, self.zero))
-
-
-class _Ints:
-    """Row kernel over F_p: Python ints in [0, p)."""
-
-    one = 1
-    unit = nonzero = staticmethod(bool)
-
-    def __init__(self, p):
-        self.p = p
-
-    @staticmethod
-    def unwrap(rows):
-        return [[x.v for x in r] for r in rows]
-
-    def wrap(self, rows):
-        p = self.p
-        return tuple(tuple(Fp(x, p) for x in r) for r in rows)
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
-
-    def mul(self, x, y):
-        return x * y % self.p
-
-    def neg(self, x):
-        return -x % self.p
-
-    def scale(self, row, c):
-        p = self.p
-        return [x * c % p for x in row]
-
-    def axpy(self, row, f, pivot_row):
-        p = self.p
-        return [(a - f * b) % p for a, b in zip(row, pivot_row)]
-
-    def dot(self, u, v):
-        return sum(map(mul, u, v)) % self.p
-
-
-class _IntPairs:
-    """Row kernel over jets over F_p: a + b*eps as the int pair (a, b) in [0, p)^2."""
-
-    one = (1, 0)
-    unit = staticmethod(itemgetter(0))  # the value part
-    nonzero = staticmethod(any)
-
-    def __init__(self, p):
-        self.p = p
-
-    @staticmethod
-    def unwrap(rows):
-        return [[(x.a.v, x.b.v) for x in r] for r in rows]
-
-    def wrap(self, rows):
-        p = self.p
-        return tuple(tuple(Jet(Fp(a, p), Fp(b, p)) for a, b in r) for r in rows)
-
-    def inv(self, x):
-        a, b = x
-        inv = pow(a, -1, self.p)
-        return inv, -b * inv * inv % self.p
-
-    def mul(self, x, y):
-        (a, b), (c, d) = x, y
-        return a * c % self.p, (a * d + b * c) % self.p
-
-    def neg(self, x):
-        return -x[0] % self.p, -x[1] % self.p
-
-    def scale(self, row, c):
-        p = self.p
-        c, d = c
-        return [(a * c % p, (a * d + b * c) % p) for a, b in row]
-
-    def axpy(self, row, f, pivot_row):
-        p = self.p
-        f, g = f
-        return [((a - f * c) % p, (b - f * d - g * c) % p) for (a, b), (c, d) in zip(row, pivot_row)]
-
-    def dot(self, u, v):
-        x = y = 0
-        for (a, b), (c, d) in zip(u, v):
-            x += a * c
-            y += a * d + b * c
-        return x % self.p, y % self.p
-
-
-@lru_cache(maxsize=None)
-def _kernel(field):
-    if field.kind == "fp":
-        return _Ints(field.p)
-    if field.kind == "jet" and field.base.kind == "fp":
-        return _IntPairs(field.base.p)
-    return _Elements(field)
+def _wrap(k, rows):
+    """Row tuples of field elements from rows of k's raw scalars."""
+    wrap = k.wrap
+    return tuple(tuple(wrap(r)) for r in rows)
 
 
 class Matrix:
@@ -260,10 +130,10 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         self._check_same_field(other, "product")
-        k = _kernel(self.field)
-        cols = k.unwrap(other.transpose().rows)
+        k = self.field.kernel
+        cols = list(map(k.unwrap, other.transpose().rows))
         dot = k.dot
-        rows = k.wrap([[dot(r, c) for c in cols] for r in k.unwrap(self.rows)])
+        rows = _wrap(k, [[dot(r, c) for c in cols] for r in map(k.unwrap, self.rows)])
         return Matrix._of(self.field, rows, other.ncols)
 
     def apply_row(self, v):
@@ -283,7 +153,7 @@ class Matrix:
         column may hold nilpotents, and a nonzero row left below the
         pivots means the rank drops only to first order, which raises.
         """
-        m = k.unwrap(self.rows)
+        m = list(map(k.unwrap, self.rows))
         unit, nonzero, axpy = k.unit, k.nonzero, k.axpy
         nr = self.nrows
         piv_cols = []
@@ -313,14 +183,14 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (pivot columns, Matrix)."""
-        k = _kernel(self.field)
+        k = self.field.kernel
         piv_cols, m, _ = self._forward(k)
         for r in reversed(range(len(piv_cols))):
             c = piv_cols[r]
             for i in range(r):
                 if k.nonzero(m[i][c]):
                     m[i] = k.axpy(m[i], m[i][c], m[r])
-        return tuple(piv_cols), Matrix._of(self.field, k.wrap(m), self.ncols)
+        return tuple(piv_cols), Matrix._of(self.field, _wrap(k, m), self.ncols)
 
     def rank(self):
         return len(self.rref()[0])
@@ -350,9 +220,9 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        k = _kernel(self.field)
+        k = self.field.kernel
         piv_cols, _, prod = self._forward(k)
-        return k.wrap([[prod]])[0][0] if len(piv_cols) == self.nrows else self.field.zero
+        return k.wrap([prod])[0] if len(piv_cols) == self.nrows else self.field.zero
 
     def inverse(self):
         if self.nrows != self.ncols:

@@ -211,14 +211,6 @@ class Poly:
     def coeff(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)
 
-    def support_vars(self):
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
-
     # -- arithmetic --------------------------------------------------------
     def _check(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -419,6 +411,13 @@ def linear_combinations(polys, rows):
     """[sum_i polys[i] * rows[i][j] for each column j]; polys must not be empty."""
     zero = polys[0].ring.zero()
     return [sum(map(mul, polys, col), zero) for col in zip(*rows)]
+
+
+def normalized_generators(polys):
+    """The nonconstant polys made monic, without repeats, by (total degree, lead in the ring order)."""
+    out = list(dict.fromkeys(g.monic() for g in polys if not g.is_constant()))
+    out.sort(key=lambda g: (g.total_degree(), g.ring.order.key(g.lead()[0])))
+    return out
 
 
 def monomial_divides(a, b):

@@ -17,7 +17,7 @@ from .grassmann import Subspace, hyperplane_subspace, point_subspace
 from .groebner import eliminate
 from .hilbert import hilbert_dim_degree
 from .linalg import Matrix
-from .poly import DEGREVLEX, Ideal, PolyRing, standard_ring
+from .poly import DEGREVLEX, Ideal, PolyRing, normalized_generators, standard_ring
 from .rng import Stream
 
 SAMPLE_RETRIES = 200
@@ -218,19 +218,8 @@ def dual_variety(v: ProjVariety) -> ProjVariety:
     gens.append(big.one() - sv * mu)
     elim = eliminate(Ideal(big, gens), ys)
     dual_ring = standard_ring(field, n + 1)
-    out = []
-    for g in elim.gens:
-        moved = g.substitute(dual_ring, list(dual_ring.gens()))
-        for part in moved.homogeneous_parts().values():
-            if part and not part.is_constant():
-                out.append(part.monic())
-    seen = set()
-    uniq = []
-    for g in sorted(out, key=lambda q: (q.total_degree(), dual_ring.order.key(q.lead()[0]))):
-        key = frozenset(g.terms.items())
-        if key not in seen:
-            seen.add(key)
-            uniq.append(g)
-    dual = ProjVariety(dual_ring, uniq)
+    images = list(dual_ring.gens())
+    parts = [part for g in elim.gens for part in g.substitute(dual_ring, images).homogeneous_parts().values()]
+    dual = ProjVariety(dual_ring, normalized_generators(parts))
     v._dual = dual
     return dual

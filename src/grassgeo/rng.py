@@ -34,17 +34,8 @@ class Stream:
     def randrange(self, *args):
         return self._r.randrange(*args)
 
-    def randint(self, a, b):
-        return self._r.randint(a, b)
-
-    def choice(self, seq):
-        return self._r.choice(seq)
-
     def scalar(self, field, height=20):
         return field.random(self._r, height)
-
-    def scalar_nonzero(self, field, height=20):
-        return field.random_nonzero(self._r, height)
 
     def vector(self, field, n, height=20):
         return [field.random(self._r, height) for _ in range(n)]

@@ -7,10 +7,11 @@ restriction of a multivariate `Poly` to a line, root finding and root
 multiplicities.
 
 Division, gcd, products and powers mod a polynomial are written once,
-over a small kernel per field: Python ints in [0, p) over F_p, reduced
-once per computed coefficient, and Fractions over Q.  Each public
-function unwraps its arguments into the kernel once and wraps its
-result into field elements once, so no `Fp` arithmetic runs inside.
+on the raw scalars of `field.kernel` (see `fields`): ints mod p over
+F_p, reduced once per computed coefficient, and Fractions over Q.  Each
+public function passes its arguments through `field.of`, unwraps them
+once and wraps its result into field elements once, so no `Fp`
+arithmetic runs inside.
 
 Over F_p the roots of f are those of g = gcd(f, t^p - t), with t^p mod f
 computed by square-and-multiply; g is split by equal-degree splitting
@@ -18,74 +19,23 @@ computed by square-and-multiply; g is split by equal-degree splitting
 Algebra, ch. 14) with the deterministic shifts (t + a)^((p-1)/2) - 1,
 a = 0, 1, 2, ...  Two distinct roots are separated by some shift a < p,
 because no proper nonempty subset of F_p (here the squares) is invariant
-under translation.  The cost is polynomial in deg f and log p.  Over Q
-the candidates come from the rational root theorem.
+under translation.  A shift that fails on, or splits, a polynomial fails
+on each of its factors, so the factors go on from the next shift.  The
+cost is polynomial in deg f and log p.  Over Q the candidates come from
+the rational root theorem.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm
 
 from .fields import GF, QQ, Fp
 
 
-class _Ints:
-    """Kernel over F_p: Python ints in [0, p)."""
-
-    zero, one = 0, 1
-
-    def __init__(self, field):
-        self.of = field.of
-        self.p = field.p
-
-    def unwrap(self, f):
-        of = self.of
-        return [of(x).v for x in f]
-
-    def wrap(self, f):
-        p = self.p
-        return [Fp(x, p) for x in f]
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
-
-    def reduce(self, x):
-        return x % self.p
-
-    def reduce_all(self, f):
-        p = self.p
-        return [x % p for x in f]
-
-
-class _Fractions:
-    """Kernel over Q: Fractions, which need no reduction."""
-
-    zero, one = Fraction(0), Fraction(1)
-    p = None
-    wrap = staticmethod(list)
-
-    @staticmethod
-    def unwrap(f):
-        return list(map(QQ.of, f))
-
-    @staticmethod
-    def inv(x):
-        return 1 / x
-
-    @staticmethod
-    def reduce(x):
-        return x
-
-    @staticmethod
-    def reduce_all(f):
-        return f
-
-
-@lru_cache(maxsize=None)
-def _kernel(field):
-    return _Ints(field) if field.kind == "fp" else _Fractions()
+def _unwrap(field, f):
+    """The kernel scalars of f's coefficients, each coerced into field first."""
+    return field.kernel.unwrap(map(field.of, f))
 
 
 def _field_of(*polys):
@@ -112,11 +62,12 @@ def coeffs(poly):
 
 def restrict(poly, a, b):
     """Coefficients of t |-> poly(a + t*b) for points a, b of the ring's field."""
-    k = _kernel(poly.ring.field)
+    field = poly.ring.field
+    k = field.kernel
     # powers[i][n] = (a_i + t*b_i)^n, built as the terms ask for them
-    powers = [[[k.one], [ai, bi]] for ai, bi in zip(k.unwrap(a), k.unwrap(b))]
+    powers = [[[k.one], [ai, bi]] for ai, bi in zip(_unwrap(field, a), _unwrap(field, b))]
     out = [k.zero] * (poly.total_degree() + 1)
-    for e, c in zip(poly.terms, k.unwrap(poly.terms.values())):
+    for e, c in zip(poly.terms, _unwrap(field, poly.terms.values())):
         term = [c]
         for pw, n in zip(powers, e):
             if n:
@@ -148,25 +99,28 @@ def quo_rem(f, g):
     """(q, r) with f = q*g + r and deg r < deg g, for nonzero g."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    k = _kernel(_field_of(g))
-    q, r = _quo_rem(k.unwrap(f), k.unwrap(g), k)
+    field = _field_of(g)
+    k = field.kernel
+    q, r = _quo_rem(_unwrap(field, f), _unwrap(field, g), k)
     return k.wrap(q), k.wrap(r)
 
 
 def gcd(f, g):
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    k = _kernel(_field_of(f, g))
-    return k.wrap(_gcd(k.unwrap(f), k.unwrap(g), k))
+    field = _field_of(f, g)
+    k = field.kernel
+    return k.wrap(_gcd(_unwrap(field, f), _unwrap(field, g), k))
 
 
 def poly_gcd(polys):
     """Monic gcd of the coefficient lists of one-variable `Poly`s; [] when all are zero."""
     if not polys:
         return []
-    k = _kernel(polys[0].ring.field)
+    field = polys[0].ring.field
+    k = field.kernel
     acc = []
     for g in polys:
-        acc = _gcd(acc, k.unwrap(coeffs(g)), k)
+        acc = _gcd(acc, _unwrap(field, coeffs(g)), k)
     return k.wrap(acc)
 
 
@@ -176,8 +130,8 @@ def roots(f, field):
     0 comes first when it is a root, then the other roots in ascending
     order (elements of F_p by their value).
     """
-    k = _kernel(field)
-    return k.wrap(_roots(k.unwrap(f), k))
+    k = field.kernel
+    return k.wrap(_roots(_unwrap(field, f), k))
 
 
 def root_multiplicities(f, field):
@@ -186,8 +140,8 @@ def root_multiplicities(f, field):
     The roots come in the order of `roots`; the cofactor is f divided by
     (t - r)^multiplicity for every root r, so it has no root in the field.
     """
-    k = _kernel(field)
-    work = k.unwrap(f)
+    k = field.kernel
+    work = _unwrap(field, f)
     found = _roots(work, k)
     mults = []
     for r in found:
@@ -270,20 +224,22 @@ def _roots(f, k):
     return found + sorted(_split(_gcd(f, _trim(h), k), k))
 
 
-def _split(g, k):
-    """Roots of a monic g over F_p that is a product of distinct linear factors."""
+def _split(g, k, a=0):
+    """Roots of a monic g over F_p that is a product of distinct linear factors.
+
+    No shift below a splits g.
+    """
     if len(g) <= 2:
         return [k.reduce(-g[0])] if len(g) == 2 else []
     # p is odd here: over F_2 the factor t has been removed, so g divides t - 1
     e = (k.p - 1) // 2
-    a = 0
     while True:
         h = _powmod([a, 1], e, g, k) + [0]
         h[0] = k.reduce(h[0] - 1)
         d = _gcd(g, _trim(h), k)
-        if 1 < len(d) < len(g):
-            return _split(d, k) + _split(_quo_rem(g, d, k)[0], k)
         a += 1
+        if 1 < len(d) < len(g):
+            return _split(d, k, a) + _split(_quo_rem(g, d, k)[0], k, a)
 
 
 def _divisors(n):

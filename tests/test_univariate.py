@@ -210,7 +210,7 @@ def test_restrict_over_fp_is_restrict_over_q_mod_p(p):
             assert U.evaluate(q, QQ.of(t)) == f.evaluate(point)
 
 
-def test_prime_field_univariate_runs_without_fp_arithmetic(monkeypatch):
+def test_prime_field_univariate_runs_without_fp_arithmetic(count_fp_operators):
     field = GF(32003)
     rng = random.Random(17)
     R = PolyRing(field, ("x", "y", "z"))
@@ -220,16 +220,7 @@ def test_prime_field_univariate_runs_without_fp_arithmetic(monkeypatch):
     polys = [U.coeffs((t - 3) ** 2 * (t - 5) * (t**2 - 7) * t), U.coeffs(t**2 - 2)]
     polys += [_random_poly(rng, field, degree) for degree in range(1, 7)]
     points = [[field.random(rng) for _ in range(3)] for _ in range(4)]
-    calls = []
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
-                 "__rtruediv__", "__neg__", "__pow__"):
-        def counted(*args, _original=getattr(Fp, name)):
-            calls.append(1)
-            return _original(*args)
-
-        monkeypatch.setattr(Fp, name, counted)
-    field.one * field.one
-    assert len(calls) == 1  # the patch is live
+    calls = count_fp_operators()
     for f in polys:
         U.roots(f, field)
         U.root_multiplicities(f, field)
@@ -237,4 +228,59 @@ def test_prime_field_univariate_runs_without_fp_arithmetic(monkeypatch):
     U.restrict(surface, [1, 2, 3], [4, 5, 6])
     U.gcd(polys[0], polys[2])
     U.quo_rem(polys[0], polys[3])
-    assert len(calls) == 1
+    assert calls == []
+
+
+def _shift_powers(roots, p, start, restart):
+    """The powers (t + a)^((p-1)/2) that splitting the nonzero roots needs, trying shifts from start.
+
+    By Euler's criterion the shift a separates the roots r with r + a a
+    nonzero square from the others.  With restart every factor tries
+    shifts from 0 again; without it, from the shift after the one that
+    split its parent.
+    """
+    if len(roots) < 2:
+        return 0
+    e = (p - 1) // 2
+    a = start
+    while True:
+        squares = {r for r in roots if pow(r + a, e, p) == 1}
+        if squares and squares != roots:
+            break
+        a += 1
+    after = 0 if restart else a + 1
+    return a - start + 1 + sum(_shift_powers(part, p, after, restart) for part in (squares, roots - squares))
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES + (32003,))
+def test_split_goes_on_from_the_parents_shift(p, monkeypatch):
+    field = GF(p)
+    rng = random.Random(p)
+    t = PolyRing(field, ("t",)).var(0)
+    e = (p - 1) // 2
+    shifts = []
+    powmod = U._powmod
+
+    def counted(base, exp, m, k):
+        shifts.append(exp == e)
+        return powmod(base, exp, m, k)
+
+    monkeypatch.setattr(U, "_powmod", counted)
+    made = restarted = 0
+    for _ in range(50 if p == 32003 else 10):
+        want = sorted(rng.sample(range(p), min(6, p)))
+        f = t ** 0 * rng.randrange(1, p)
+        for r in want:
+            f = f * (t - r)
+        shifts.clear()
+        got = U.roots(U.coeffs(f), field)
+        assert [r.v for r in got] == want
+        if p < 32003:
+            assert got == _brute_force_roots(U.coeffs(f), field)
+        nonzero = set(want) - {0}
+        assert sum(shifts) == _shift_powers(nonzero, p, 0, restart=False)
+        made += sum(shifts)
+        restarted += _shift_powers(nonzero, p, 0, restart=True)
+    assert made <= restarted
+    if p == 32003:
+        assert made < restarted
