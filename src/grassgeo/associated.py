@@ -91,6 +91,16 @@ def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
     return x, tangent, h, hbasis, lmat
 
 
+def _draw_configuration(v: ProjVariety, ell, s: Stream) -> WitnessConfig:
+    """The free data of one draw from the stream s."""
+    field, n = v.field, v.n
+    pring, _ = v.parametrization
+    theta = tuple(field.of(c) for c in s.vector(field, pring.nvars, 10))
+    h_coeffs = tuple(field.of(c) for c in s.vector(field, n - v.dimension(), 10))
+    l_coeffs = tuple(tuple(field.of(c) for c in s.vector(field, n, 10)) for _ in range(ell))
+    return WitnessConfig(theta, h_coeffs, l_coeffs)
+
+
 def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
     """Seeded L = span(x, ell directions inside H); invariants verified."""
     n = v.n
@@ -98,20 +108,18 @@ def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
         raise InvalidInput("need 0 <= ell <= n-1")
     if v.parametrization is None:
         raise SamplingError("associated sampling needs a parametrized variety")
-    pring, _ = v.parametrization
     field = v.field
     stream = Stream(seed, "associated", ell)
     for k in range(SAMPLE_RETRIES):
-        s = stream.spawn(k)
-        theta = tuple(field.of(c) for c in s.vector(field, pring.nvars, 10))
-        h_coeffs = tuple(field.of(c) for c in s.vector(field, n - v.dimension(), 10))
-        l_coeffs = tuple(tuple(field.of(c) for c in s.vector(field, n, 10)) for _ in range(ell))
-        cfg = WitnessConfig(theta, h_coeffs, l_coeffs)
+        cfg = _draw_configuration(v, ell, stream.spawn(k))
         try:
             x, tangent, h, hbasis, lmat = _build_configuration(v, ell, field, cfg)
         except NonGeneralConfiguration:
             continue
         if lmat.rank() != ell + 1:
+            continue
+        # L must meet the tangent space only in x: a special L spans less with it
+        if tangent.stack(lmat).rank() != min(v.dimension() + 1 + ell, n):
             continue
         if not v.is_smooth_point(x)[0]:
             continue

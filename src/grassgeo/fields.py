@@ -7,12 +7,13 @@ polynomial rings; the elements themselves are plain Fractions or `Fp`
 instances with overloaded operators.  Arithmetic never mixes fields:
 Fp operations insist on a common modulus and refuse Fractions.
 
-Hot loops (elimination in `linalg`, division and root finding in
-`univariate`) run on raw scalars instead of field elements, through the
-one kernel that each ring descriptor carries as `ring.kernel`:
-`GF(p).kernel` holds Python ints in [0, p), `QQ.kernel` the Fractions
-themselves, and `JetRing(base).kernel` (in `jets`) int pairs (a, b) for
-a + b*eps over F_p, or the jets themselves over Q.  A kernel offers
+Hot loops (elimination and products in `linalg`, division and root
+finding in `univariate`) run on raw scalars instead of field elements,
+through the one kernel that each ring descriptor carries as
+`ring.kernel`: `GF(p).kernel` holds Python ints in [0, p), `QQ.kernel`
+the Fractions themselves, and `JetRing(base).kernel` (in `jets`) int
+pairs (a, b) for a + b*eps over F_p, or the jets themselves over Q.  A
+kernel offers
 
 * `zero`, `one`, and `p`: the modulus, or None when nothing is reduced;
 * `unwrap(xs)` and `wrap(xs)`: a list of raw scalars from a sequence of
@@ -26,11 +27,32 @@ a + b*eps over F_p, or the jets themselves over Q.  A kernel offers
   products built with Python's operators (ints over F_p, Fractions
   over Q), so such sums may be left unreduced until the end;
 * `unit(x)`, true for an invertible x, and `nonzero(x)`.
+
+Matrices reach their kernel through six more methods, which `Kernel`
+writes once on top of the scalar methods above:
+
+* `echelon_rows(rows)`, `pivot_step(m, r, c, d, above)`,
+  `echelon_wrap(m, d)` and `quotient(d, den)`: the row update of the one
+  elimination pass in `linalg`, which keeps the pivot search to itself;
+* `product(rows, cols)`: the entries of a matrix product;
+* `wedge_rows(rows)`: rows that `linalg.exterior_minors` can expand,
+  with the means to bring its minors back into the ring.
+
+`Kernel` scales each pivot row to 1 and subtracts multiples of it, on
+raw scalars (F_p, jets over F_p) or on the elements (jets over Q).  Over
+Q, `RationalKernel` instead clears each row's denominators once and
+runs fraction-free Gauss-Jordan elimination on Python ints (Bareiss
+1968): with pivot p, every other row becomes
+(p * row - row[c] * pivot_row) // d, where d is the previous pivot and
+the division is exact.  At the end every entry x is wrapped once, as
+Fraction(x, d).  Products and minors over Q are int dot products and int
+expansions of the cleared rows, wrapped once in the same way.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul, neg
 
 from .errors import FieldMismatch, InvalidInput
@@ -161,7 +183,57 @@ class Fp:
         return found[0] if found else None
 
 
-class IntKernel:
+class Kernel:
+    """The matrix methods of a kernel, written once on its scalar methods."""
+
+    def echelon_rows(self, rows):
+        """(m, d, den) for an elimination pass over rows of ring elements.
+
+        m holds the rows as fresh lists of raw scalars, d is the pass's
+        d before its first pivot, and det(rows) = det(m) / den.
+        """
+        return [self.unwrap(r) for r in rows], self.one, self.one
+
+    def pivot_step(self, m, r, c, d, above):
+        """Clear column c of m in place with its pivot m[r][c], a unit; returns the next d.
+
+        The rows below r are cleared, and the rows above r too when
+        `above`.  Here the pivot row is scaled to 1 and every other row
+        loses a multiple of it; d is the product of the pivots.
+        """
+        pivot = m[r][c]
+        pr = m[r] = self.scale(m[r], self.inv(pivot))
+        nonzero, axpy = self.nonzero, self.axpy
+        for i in range(0 if above else r + 1, len(m)):
+            if i != r and nonzero(m[i][c]):
+                m[i] = axpy(m[i], m[i][c], pr)
+        return self.mul(d, pivot)
+
+    def echelon_wrap(self, m, d):
+        """Row tuples of ring elements from the rows m of a finished pass whose last d is d."""
+        wrap = self.wrap
+        return tuple(tuple(wrap(r)) for r in m)
+
+    def quotient(self, d, den):
+        """The ring element d / den, for a pass's determinant."""
+        return self.wrap([self.mul(d, self.inv(den))])[0]
+
+    def product(self, rows, cols):
+        """Row tuples of the product of the matrix with these rows and the one with these columns."""
+        cols = [self.unwrap(c) for c in cols]
+        dot, wrap = self.dot, self.wrap
+        return tuple(tuple(wrap([dot(r, c) for c in cols])) for r in map(self.unwrap, rows))
+
+    def wedge_rows(self, rows):
+        """(rows, reduce, wrap) for `linalg.exterior_minors`: the rows to expand, the canonical form of a
+        sum of their products (or None), and the ring elements of a list of minors.
+
+        Here the rows are the ring elements themselves.
+        """
+        return rows, None, list
+
+
+class IntKernel(Kernel):
     """Kernel of F_p: Python ints in [0, p)."""
 
     zero, one = 0, 1
@@ -205,9 +277,12 @@ class IntKernel:
     def dot(self, u, v):
         return sum(map(mul, u, v)) % self.p
 
+    def wedge_rows(self, rows):
+        return [self.unwrap(r) for r in rows], self.reduce, self.wrap
 
-class ElementKernel:
-    """Kernel of a ring whose elements serve as their own raw scalars: Q, and jets over Q."""
+
+class ElementKernel(Kernel):
+    """Kernel of a ring whose elements serve as their own raw scalars: jets over Q, and Q (see RationalKernel)."""
 
     p = None
     nonzero = staticmethod(bool)
@@ -247,6 +322,76 @@ class ElementKernel:
         return sum(products, next(products, self.zero))
 
 
+def _cleared(row):
+    """(ints, l): the row of Fractions times l, its least common denominator."""
+    pairs = [x.as_integer_ratio() for x in row]
+    l = lcm(*[d for _, d in pairs])
+    return [n * (l // d) for n, d in pairs], l
+
+
+_ZERO = Fraction(0)
+
+
+def _over(xs, d):
+    """The Fractions x / d, made once each."""
+    return [Fraction(x, d) if x else _ZERO for x in xs]
+
+
+class RationalKernel(ElementKernel):
+    """Kernel of Q.  Its scalars are the Fractions themselves; its matrix
+    methods clear denominators once and work on Python ints."""
+
+    @staticmethod
+    def echelon_rows(rows):
+        m, den = [], 1
+        for r in rows:
+            ints, l = _cleared(r)
+            m.append(ints)
+            den *= l
+        return m, 1, den
+
+    @staticmethod
+    def pivot_step(m, r, c, d, above):
+        """Fraction-free Gauss-Jordan: each other row becomes (p * row - row[c] * pivot_row) // d
+        for the pivot p, exactly (Bareiss 1968), and p is the next d.
+
+        With `above`, the rows that have had their pivots then hold p
+        times what Gauss-Jordan on the Fractions would leave in them.
+        """
+        pr = m[r]
+        p = pr[c]
+        for i in range(0 if above else r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                m[i] = [(p * a - f * b) // d for a, b in zip(row, pr)]
+            elif not f and p != d:
+                m[i] = [p * a // d for a in row]
+        return p
+
+    @staticmethod
+    def echelon_wrap(m, d):
+        return tuple(tuple(_over(row, d)) for row in m)
+
+    @staticmethod
+    def quotient(d, den):
+        return Fraction(d, den)
+
+    @staticmethod
+    def product(rows, cols):
+        cols = [_cleared(c) for c in cols]
+        out = []
+        for r in rows:
+            a, da = _cleared(r)
+            dots = [sum(map(mul, a, b)) for b, _ in cols]
+            out.append(tuple(Fraction(x, da * db) if x else _ZERO for x, (_, db) in zip(dots, cols)))
+        return tuple(out)
+
+    def wedge_rows(self, rows):
+        m, _, den = self.echelon_rows(rows)
+        return m, None, lambda minors: _over(minors, den)
+
+
 class RationalField:
     """Descriptor for Q."""
 
@@ -254,7 +399,7 @@ class RationalField:
     p = None
 
     def __init__(self):
-        self.kernel = ElementKernel(self)
+        self.kernel = RationalKernel(self)
 
     @property
     def zero(self):

@@ -46,11 +46,7 @@ class Subspace:
     @property
     def pluecker(self):
         if self._pluecker is None:
-            k = self.ell + 1
-            self._pluecker = tuple(
-                self.basis.submatrix(range(k), cols).det()
-                for cols in combinations(range(self.n + 1), k)
-            )
+            self._pluecker = self.basis.maximal_minors()
         return self._pluecker
 
     def column_sets(self):
@@ -223,13 +219,17 @@ class AdaptedBasis:
 
 
 def adapted_basis(s: Subspace) -> AdaptedBasis:
-    """Deterministic adapted basis: lexicographically first completion."""
-    k = s.ell + 1
+    """Deterministic adapted basis: lexicographically first completion.
+
+    The complements of column sets in lexicographic order are in reverse
+    lexicographic order, so the first completion is the complement of
+    the last column set with a nonzero Pluecker coordinate.
+    """
     n = s.n
     field = s.field
-    for comp in combinations(range(n + 1), n + 1 - k):
-        kept = tuple(c for c in range(n + 1) if c not in comp)
-        if s.basis.submatrix(range(k), kept).det():
+    for kept, minor in zip(reversed(s.column_sets()), reversed(s.pluecker)):
+        if minor:
+            comp = tuple(c for c in range(n + 1) if c not in kept)
             unit_rows = []
             z, o = field.zero, field.one
             for col in comp:

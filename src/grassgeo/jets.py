@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import NonGeneralConfiguration
-from .fields import ElementKernel, Fp
+from .fields import ElementKernel, Fp, Kernel
 
 
 class Jet:
@@ -100,7 +100,7 @@ class Jet:
         return "(%r + %r*eps)" % (self.a, self.b)
 
 
-class PairKernel:
+class PairKernel(Kernel):
     """Kernel of jets over F_p: a + b*eps as the int pair (a, b) in [0, p)^2."""
 
     zero, one = (0, 0), (1, 0)

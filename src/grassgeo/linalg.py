@@ -4,29 +4,34 @@ Matrices are immutable tuples of tuples together with their width, so
 a matrix with no rows still has a column count: the kernel of an
 invertible k x k matrix is 0 x k, its transpose k x 0, a product over
 an empty inner dimension is a zero matrix and a 0 x 0 determinant is 1.
-One forward elimination pass does all the pivoting: `rref` adds the
-back substitution to it, `det` reads the signed product of its pivots,
-and rank, kernels, inverses and solutions all go through `rref`.  The
-pivot is the first unit at or below the current row, so reduced
-echelon forms, kernels and ranks are bit-stable across runs.
+One elimination pass does all the pivoting: `rref` runs it as
+Gauss-Jordan (each pivot clears its column above and below), `det` and
+`rank` run it downwards only, and kernels, inverses and solutions go
+through `rref`.  The pivot is the first unit at or below the current
+row, so reduced echelon forms, kernels and ranks are bit-stable across
+runs.
 
 Elimination and products run on the raw scalars of `field.kernel` (see
-`fields`): rows are unwrapped once and results wrapped into field
-elements once, and a matrix built from rows that are already in its
-field is not coerced again.
+`fields`), which also owns the row update of a pivot step: over F_p and
+over jets the pivot row is scaled to 1, and over Q the rows are cleared
+of denominators once and eliminated fraction-free on Python ints.  Rows
+are unwrapped once and results wrapped into field elements once, and a
+matrix built from rows that are already in its field is not coerced
+again.
+
+All maximal minors come from one routine, `exterior_minors`: it builds
+v_1 ^ ... ^ v_k row by row, each minor a Laplace expansion over minors
+of one row fewer that are computed once.  It divides nothing, so it
+runs on ints (Q after clearing, F_p reduced mod p) and on polynomials.
+Pluecker coordinates, adapted bases and dual curves all read it.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import add, sub
 
 from .errors import FieldMismatch, NonGeneralConfiguration
-
-
-def _wrap(k, rows):
-    """Row tuples of field elements from rows of k's raw scalars."""
-    wrap = k.wrap
-    return tuple(tuple(wrap(r)) for r in rows)
 
 
 class Matrix:
@@ -130,10 +135,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
         self._check_same_field(other, "product")
-        k = self.field.kernel
-        cols = list(map(k.unwrap, other.transpose().rows))
-        dot = k.dot
-        rows = _wrap(k, [[dot(r, c) for c in cols] for r in map(k.unwrap, self.rows)])
+        rows = self.field.kernel.product(self.rows, other.transpose().rows)
         return Matrix._of(self.field, rows, other.ncols)
 
     def apply_row(self, v):
@@ -143,21 +145,22 @@ class Matrix:
         return (Matrix(self.field, [v], self.nrows) @ self).rows[0]
 
     # -- elimination ----------------------------------------------------
-    def _forward(self, k):
-        """The one elimination pass, on k's raw scalars: (pivot columns, rows, signed pivot product).
+    def _forward(self, k, above=False):
+        """The one elimination pass, on k's raw scalars: (pivot columns, rows, d, den).
 
         The pivot of each column is the first unit at or below the
-        current row; its row is scaled to 1 and the entries below it are
-        cleared.  A column without a unit is skipped.  Over a field the
-        rows left below the pivots are then zero; over jets a skipped
-        column may hold nilpotents, and a nonzero row left below the
-        pivots means the rank drops only to first order, which raises.
+        current row, and `k.pivot_step` clears the column with it below
+        the pivot, and above it too when `above`.  A column without a
+        unit is skipped.  Over a field the rows left below the pivots
+        are then zero; over jets a skipped column may hold nilpotents,
+        and a nonzero row left below the pivots means the rank drops
+        only to first order, which raises.  When every row has a pivot
+        the determinant is d / den, den being negated at each row swap.
         """
-        m = list(map(k.unwrap, self.rows))
-        unit, nonzero, axpy = k.unit, k.nonzero, k.axpy
+        m, d, den = k.echelon_rows(self.rows)
+        unit, nonzero, step = k.unit, k.nonzero, k.pivot_step
         nr = self.nrows
         piv_cols = []
-        prod = k.one
         r = 0
         for c in range(self.ncols):
             if r == nr:
@@ -169,31 +172,22 @@ class Matrix:
                 continue
             if sel != r:
                 m[r], m[sel] = m[sel], m[r]
-                prod = k.neg(prod)
-            prod = k.mul(prod, m[r][c])
-            pr = m[r] = k.scale(m[r], k.inv(m[r][c]))
-            for i in range(r + 1, nr):
-                if nonzero(m[i][c]):
-                    m[i] = axpy(m[i], m[i][c], pr)
+                den = k.neg(den)
+            d = step(m, r, c, d, above)
             piv_cols.append(c)
             r += 1
         if any(nonzero(x) for row in m[r:] for x in row):
             raise NonGeneralConfiguration("rank drops to first order")
-        return piv_cols, m, prod
+        return piv_cols, m, d, den
 
     def rref(self):
         """Reduced row echelon form; returns (pivot columns, Matrix)."""
         k = self.field.kernel
-        piv_cols, m, _ = self._forward(k)
-        for r in reversed(range(len(piv_cols))):
-            c = piv_cols[r]
-            for i in range(r):
-                if k.nonzero(m[i][c]):
-                    m[i] = k.axpy(m[i], m[i][c], m[r])
-        return tuple(piv_cols), Matrix._of(self.field, _wrap(k, m), self.ncols)
+        piv_cols, m, d, _ = self._forward(k, above=True)
+        return tuple(piv_cols), Matrix._of(self.field, k.echelon_wrap(m, d), self.ncols)
 
     def rank(self):
-        return len(self.rref()[0])
+        return len(self._forward(self.field.kernel)[0])
 
     def row_space_basis(self):
         """Nonzero rows of the RREF."""
@@ -221,8 +215,17 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
         k = self.field.kernel
-        piv_cols, _, prod = self._forward(k)
-        return k.wrap([prod])[0] if len(piv_cols) == self.nrows else self.field.zero
+        piv_cols, _, d, den = self._forward(k)
+        return k.quotient(d, den) if len(piv_cols) == self.nrows else self.field.zero
+
+    def maximal_minors(self):
+        """Every maximal minor of a k x n matrix, k <= n, its column sets in lexicographic order."""
+        if self.nrows > self.ncols:
+            raise ValueError("more rows than columns")
+        if not self.nrows:
+            return (self.field.one,)
+        rows, reduce, wrap = self.field.kernel.wedge_rows(self.rows)
+        return tuple(wrap(exterior_minors(rows, self.ncols, reduce)))
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -264,3 +267,38 @@ def row_space_contains(a: Matrix, v) -> bool:
     """Is the vector v in the row space of a?"""
     ext = a.stack(Matrix(a.field, [v]))
     return ext.rank() == a.rank()
+
+
+def exterior_minors(rows, ncols, reduce=None):
+    """The coordinates of v_1 ^ ... ^ v_k for the rows v_i (1 <= k <= ncols): every maximal minor,
+    column sets in lexicographic order.
+
+    The wedge is built row by row: the minor of the first j rows on a
+    column set S is the Laplace expansion along row j over the minors
+    of the first j - 1 rows on S less one column, each computed once
+    and looked up by its column bitmask.  Nothing is divided, so the
+    entries may come from any commutative ring with Python's +, -, *
+    and truth value (ints, polynomials, jets); `reduce`, if given,
+    brings each minor to canonical form (x % p over F_p).
+    """
+    units = [(c, 1 << c) for c in range(ncols)]
+    layer = {b: x for (_, b), x in zip(units, rows[0])}
+    for j in range(1, len(rows)):
+        v = rows[j]
+        nxt = {}
+        for cols in combinations(units, j + 1):
+            mask = sum(b for _, b in cols)
+            acc = None
+            for t, (c, b) in enumerate(cols):
+                x, w = v[c], layer[mask ^ b]
+                if x and w:
+                    term = x * w
+                    if (j + t) & 1:  # the sign of entry (j, t) of the square minor
+                        term = -term
+                    acc = term if acc is None else acc + term
+            if acc is None:  # every term vanishes: a zero of the entries' own kind
+                c, b = cols[0]
+                acc = v[c] * layer[mask ^ b]
+            nxt[mask] = acc if reduce is None else reduce(acc)
+        layer = nxt
+    return list(layer.values())

@@ -23,7 +23,7 @@ from .grassmann import (
     stiefel_differential,
 )
 from .isoclass import alpha_beta_type, is_strong
-from .linalg import Matrix
+from .linalg import Matrix, exterior_minors
 from .poly import PolyRing
 
 
@@ -165,19 +165,16 @@ def dual_curve(c: ParamCurve) -> ParamCurve:
         d = dual_curve(gamma)
         d.span_basis = span.basis
         return d
-    ring = c.ring
     n = c.n
     ds = list(c.coords)
     rows = [list(c.coords)]
     for _ in range(n - 1):
         ds = [p.diff(0) for p in ds]
         rows.append(list(ds))
-    # cofactor vector: signed maximal minors of the n x (n+1) matrix
-    coords = []
-    for j in range(n + 1):
-        cols = [jj for jj in range(n + 1) if jj != j]
-        minor = _poly_det([[rows[i][jj] for jj in cols] for i in range(n)])
-        coords.append(minor if j % 2 == 0 else -minor)
+    # cofactor vector: signed maximal minors of the n x (n+1) matrix; the
+    # minor without column j is the (n - j)-th in lexicographic order
+    minors = exterior_minors(rows, n + 1)
+    coords = [m if j % 2 == 0 else -m for j, m in enumerate(reversed(minors))]
     # clear content: divide by gcd of supports? keep as-is (projective)
     out = ParamCurve(c.field, coords)
     out.span_basis = None
@@ -195,19 +192,6 @@ def _rewrite_in_span(c: ParamCurve, span: Subspace) -> ParamCurve:
             raise ValueError("span computation inconsistent")
         gamma_rows.append(list(x))
     return ParamCurve.from_coeff_rows(c.field, gamma_rows)
-
-
-def _poly_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    ring = rows[0][0].ring
-    acc = ring.zero()
-    for i in range(n):
-        minor = _poly_det([r[1:] for r in rows[:i] + rows[i + 1 :]])
-        term = rows[i][0] * minor
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
 
 
 def projective_equal_points(x, y):

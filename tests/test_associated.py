@@ -1,6 +1,8 @@
 import pytest
 
 from grassgeo.associated import (
+    _build_configuration,
+    _draw_configuration,
     associated_conormal,
     associated_tangent_pushforward,
     chow_hurwitz_ideal,
@@ -246,3 +248,17 @@ def test_pushforward_matches_conormal_at_top_level():
     push = associated_tangent_pushforward(s, v, seed=1)
     con = associated_conormal(s, v)
     assert trace_annihilator(push).same_span(con)
+
+
+def test_a_plane_meeting_the_tangent_space_in_a_line_is_redrawn():
+    # sample 0 of `sample-associated --variety segre-2x4 --ell 2 --field q --seed 144182`
+    v = segre(QQ, 2, 4)
+    seed = Stream(144182, "s", 0).seed
+    first = _draw_configuration(v, 2, Stream(seed, "associated", 2).spawn(0))
+    _, tangent, _, _, lmat = _build_configuration(v, 2, QQ, first)
+    assert lmat.rank() == 3
+    assert tangent.stack(lmat).rank() == 6  # not dim X + 1 + ell = 7: L is special
+    s = sample_associated(v, 2, seed=seed)
+    assert s.config != first
+    assert s.tangent_at_x.basis.stack(s.subspace.basis).rank() == 7
+    assert associated_conormal(s, v).dim == 1  # n - ell - dim X, where the special L gave 2

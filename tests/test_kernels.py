@@ -1,6 +1,8 @@
 """The raw-scalar kernel of each ring (`ring.kernel`) against the ring's
 own element arithmetic: wrapping the result of a kernel operation gives
-what the same operation on elements gives."""
+what the same operation on elements gives.  The same holds for the
+matrix methods: pivot steps against Gauss-Jordan elimination on
+elements, products against sums of element products."""
 
 import random
 
@@ -82,3 +84,70 @@ def test_each_ring_carries_its_kernel():
     # unwrap does not coerce: callers pass foreign values through ring.of first
     assert QQ.kernel.unwrap(map(QQ.of, [1, 2])) == [1, 2]
     assert GF(7).kernel.unwrap(map(GF(7).of, [8, -1])) == [1, 6]
+
+
+def _gauss_jordan_by_kernel(k, rows, ncols, above):
+    """The elimination of `Matrix._forward` on k: (number of pivots, echelon rows, determinant or None)."""
+    m, d, den = k.echelon_rows(rows)
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(m)) if k.unit(m[i][c])), None)
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            den = k.neg(den)
+        d = k.pivot_step(m, r, c, d, above)
+        r += 1
+    return r, k.echelon_wrap(m, d), k.quotient(d, den) if r == len(m) == ncols else None
+
+
+def _gauss_jordan_by_elements(ring, rows, ncols, above):
+    """The same on ring elements: each pivot row scaled to 1, multiples of it subtracted from the others."""
+    e = [list(row) for row in rows]
+    det = ring.one
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(e)) if _is_unit(e[i][c])), None)
+        if sel is None:
+            continue
+        if sel != r:
+            e[r], e[sel] = e[sel], e[r]
+            det = -det
+        pivot = e[r][c]
+        det = det * pivot
+        e[r] = [x / pivot for x in e[r]]
+        for i in range(0 if above else r + 1, len(e)):
+            if i != r:
+                e[i] = [x - e[i][c] * y for x, y in zip(e[i], e[r])]
+        r += 1
+    return r, tuple(tuple(row) for row in e), det if r == len(e) == ncols else None
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_pivot_steps_match_gauss_jordan_on_elements(ring):
+    k = ring.kernel
+    rng = random.Random(repr(ring) + "pivot")
+    full = 0
+    for nrows, ncols in [(3, 3), (4, 4), (2, 5), (4, 3), (1, 1), (0, 2)] * 4:
+        rows = [_elements(ring, rng, ncols) for _ in range(nrows)]
+        for above in (True, False):
+            rank, echelon, det = _gauss_jordan_by_kernel(k, rows, ncols, above)
+            want_rank, want_echelon, want_det = _gauss_jordan_by_elements(ring, rows, ncols, above)
+            assert rank == want_rank
+            assert det == want_det
+            full += det is not None
+            if above:
+                assert echelon == want_echelon
+    assert full >= 10
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_products_match_element_arithmetic(ring):
+    k = ring.kernel
+    rng = random.Random(repr(ring) + "product")
+    for nrows, inner, ncols in [(3, 4, 2), (1, 1, 1), (2, 0, 3), (0, 3, 2), (3, 2, 0)]:
+        rows = [_elements(ring, rng, inner) for _ in range(nrows)]
+        cols = [_elements(ring, rng, inner) for _ in range(ncols)]
+        want = tuple(tuple(sum((x * y for x, y in zip(r, c)), ring.zero) for c in cols) for r in rows)
+        assert k.product(rows, cols) == want

@@ -2,7 +2,8 @@
 that do not eliminate: the Leibniz formula and, over small prime fields,
 row spaces enumerated element by element.  The F_p and jets-over-F_p
 kernels are also checked against the same operations over Q reduced
-mod p, and for running without Fp arithmetic."""
+mod p and for running without Fp arithmetic, and the Q kernel for
+running without Fraction arithmetic."""
 
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 
 from grassgeo.errors import FieldMismatch, NonGeneralConfiguration
 from grassgeo.fields import GF, QQ, Fp
+from grassgeo.grassmann import Subspace
 from grassgeo.jets import Jet, JetRing
 from grassgeo.linalg import Matrix
 
@@ -266,11 +268,13 @@ def test_pivot_is_the_first_unit_at_or_below_the_current_row(field):
     eps = field.variable(0) if field.kind == "jet" else field.zero
     m = Matrix(field, [[eps, 1, 1], [2, 3, 0], [1, 0, 1]])
     k = field.kernel
-    piv, rows, _ = m._forward(k)
+    piv, rows, d, _ = m._forward(k)
     # column 0: eps is no unit, so row 1 is the pivot, not row 2; column 1: the old row 0
     expected = Matrix(field, [[1, Fraction(3, 2), 0], [0, 1, 1 + field.of(Fraction(3, 2)) * eps], [0, 0, 1]])
     assert piv == [0, 1, 2]
-    assert Matrix(field, [k.wrap(r) for r in rows]) == expected
+    # the fraction-free pass over Q leaves each echelon row a multiple of the one scaled to its pivot
+    rows = k.echelon_wrap(rows, d)
+    assert Matrix(field, [[x / r[c] for x in r] for r, c in zip(rows, piv)]) == expected
 
 
 def _in_own_field(field, x):
@@ -335,3 +339,24 @@ def test_prime_field_elimination_runs_without_fp_arithmetic(field, count_fp_oper
             assert m.det() == 0
     # nullspace negates entries of the wrapped RREF, after elimination
     assert [name for name in calls if name != "__neg__"] == []
+
+
+def test_rational_elimination_products_and_minors_run_without_fraction_arithmetic(count_fraction_operators):
+    rng = random.Random(17)
+    mats = []
+    for nrows, ncols in [(4, 4), (3, 5), (5, 3), (4, 4), (0, 3), (3, 0)]:
+        rows = [[QQ.random(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1:
+            rows[-1] = rows[0]  # singular
+        mats.append(Matrix(QQ, rows, ncols))
+    calls = count_fraction_operators()
+    for m in mats:
+        m.rref()
+        m.rank()
+        m @ m.transpose()
+        if m.nrows == m.ncols:
+            m.det()
+        if m.nrows <= m.ncols:
+            Subspace(QQ, m.ncols - 1, m, check=False).pluecker
+    assert Matrix(QQ, [[1, 2], [3, 4]], 2).det() == -2
+    assert calls == []
