@@ -69,14 +69,12 @@ def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
     Returns (x, tangent rows, h, hyperplane basis rows, L rows).
     Raises NonGeneralConfiguration when ranks degenerate.
     """
-    pring, coords = v.parametrization
+    _, coords = v.parametrization
     theta = [ring.of(c) for c in cfg.theta]
     x = tuple(c.evaluate(theta) for c in coords)
     if not any(x):
         raise NonGeneralConfiguration("parametrization hit the base locus")
-    nv = v.ring.nvars
-    jac = Matrix(ring, [[g.diff(i).evaluate(x) for i in range(nv)] for g in v.gens], nv)
-    tangent = jac.nullspace()
+    tangent = v.jacobian_at(x, ring).nullspace()
     if tangent.nrows != v.dimension() + 1:
         raise NonGeneralConfiguration("tangent rank drop at sample")
     normals = tangent.nullspace()
@@ -120,8 +118,6 @@ def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
             continue
         # L must meet the tangent space only in x: a special L spans less with it
         if tangent.stack(lmat).rank() != min(v.dimension() + 1 + ell, n):
-            continue
-        if not v.is_smooth_point(x)[0]:
             continue
         sub = Subspace(field, n, lmat, check=False)
         hsub = hyperplane_subspace(field, h)
@@ -315,9 +311,9 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
     if hurwitz:
         if v.dimension() == n - 1:
             if v.parametrization is not None:
-                w_polys = [v.gens[0].diff(i).substitute(big, x_polys) for i in range(n + 1)]
+                w_polys = [d.substitute(big, x_polys) for d in v.gradients[0]]
             else:
-                w_polys = [v.gens[0].diff(i).map_to(big) for i in range(n + 1)]
+                w_polys = [d.map_to(big) for d in v.gradients[0]]
             gens += plane_in_hyperplane_contractions(big, w_polys, ell, n, pvar_of)
         elif v.dimension() == 1 and v.parametrization is not None:
             # tangent line = span(x(t), x'(t)) inside L

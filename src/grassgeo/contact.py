@@ -114,7 +114,7 @@ def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
     grad_rows = []
     for k in range(1, m):
         fk = parts.get(k, yring.zero())
-        grad_rows.append([fk.diff(i).evaluate(e1) for i in range(n)])
+        grad_rows.append([d.evaluate(e1) for d in fk.gradient()])
     directions = frame.submatrix(range(1, n + 1), range(n + 1))  # chart y maps to y @ directions
     flag = []
     for k in range(2, m + 1):
@@ -167,7 +167,7 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
         yring, parts = _chart_parts(v, frame)
         # linear constraints: grad f_1 plus n-m seeded slices
         g1 = parts.get(1)
-        rows = [[g1.diff(i).constant_coeff() for i in range(n)]]
+        rows = [[d.constant_coeff() for d in g1.gradient()]]
         slicer = s.spawn("slice")
         for _ in range(n - m):
             rows.append([field.of(c) for c in slicer.vector(field, n, 10)])
@@ -233,7 +233,7 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
     n = v.n
     m = cfg.m
     p, q = cfg.point, cfg.direction_point
-    partials = [univariate.restrict(v.gens[0].diff(kk), p, q) for kk in range(n + 1)]
+    partials = [univariate.restrict(d, p, q) for d in v.gradients[0]]
 
     def coeff(f, j):
         return f[j] if 0 <= j < len(f) else field.zero

@@ -11,13 +11,14 @@ Anything else is reported as inconclusive, never as a refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import univariate
 from .errors import CertificateNotApplicable, NotIsolated
 from .grassmann import HomSpace
 from .groebner import groebner
 from .hilbert import hilbert_dim_degree, local_multiplicity
-from .linalg import Matrix
+from .linalg import Matrix, exterior_minors
 from .poly import LEX, Ideal, PolyRing
 
 
@@ -111,17 +112,10 @@ def _lambda_ring(field, k):
 def _minor_ideal(space: HomSpace):
     ring = _lambda_ring(space.adapted.field, space.dim)
     rows = space.generic_element_poly_matrix(ring)
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    gens = []
-    for i1 in range(nr):
-        for i2 in range(i1 + 1, nr):
-            for j1 in range(nc):
-                for j2 in range(j1 + 1, nc):
-                    m = rows[i1][j1] * rows[i2][j2] - rows[i1][j2] * rows[i2][j1]
-                    if m:
-                        gens.append(m)
-    return Ideal(ring, gens)
+    if not rows or len(rows[0]) < 2:
+        return Ideal(ring, [])
+    ncols = len(rows[0])
+    return Ideal(ring, [m for pair in combinations(rows, 2) for m in exterior_minors(pair, ncols)])
 
 
 def rank_one_locus(space: HomSpace) -> RankOneLocus:

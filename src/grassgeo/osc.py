@@ -46,6 +46,11 @@ class ParamCurve:
         self.ring = ring
         self.coords = coords
         self.n = len(coords) - 1
+        # the coordinates and their derivatives of order 1..n, each taken once
+        derivatives = [coords]
+        for _ in range(self.n):
+            derivatives.append(tuple(c.diff(0) for c in derivatives[-1]))
+        self.derivatives = tuple(derivatives)
 
     @classmethod
     def from_coeff_rows(cls, field, rows):
@@ -76,14 +81,11 @@ class ParamCurve:
         return tuple(c.evaluate(tv) for c in self.coords)
 
     def derivative_rows(self, t, k):
-        """Rows c(t), c'(t), ..., c^{(k)}(t)."""
+        """Rows c(t), c'(t), ..., c^{(k)}(t), for 0 <= k <= n."""
+        if not (0 <= k <= self.n):
+            raise InvalidInput("derivatives are kept up to order n")
         tv = [self.field.of(t)]
-        rows = []
-        ds = list(self.coords)
-        for r in range(k + 1):
-            rows.append([c.evaluate(tv) for c in ds])
-            ds = [c.diff(0) for c in ds]
-        return Matrix(self.field, rows)
+        return Matrix(self.field, [[c.evaluate(tv) for c in ds] for ds in self.derivatives[: k + 1]])
 
     def __repr__(self):
         return "ParamCurve(n=%d)" % self.n
@@ -166,16 +168,10 @@ def dual_curve(c: ParamCurve) -> ParamCurve:
         d.span_basis = span.basis
         return d
     n = c.n
-    ds = list(c.coords)
-    rows = [list(c.coords)]
-    for _ in range(n - 1):
-        ds = [p.diff(0) for p in ds]
-        rows.append(list(ds))
-    # cofactor vector: signed maximal minors of the n x (n+1) matrix; the
+    # cofactor vector: signed maximal minors of c, c', ..., c^{(n-1)}; the
     # minor without column j is the (n - j)-th in lexicographic order
-    minors = exterior_minors(rows, n + 1)
+    minors = exterior_minors(c.derivatives[:n], n + 1)
     coords = [m if j % 2 == 0 else -m for j, m in enumerate(reversed(minors))]
-    # clear content: divide by gcd of supports? keep as-is (projective)
     out = ParamCurve(c.field, coords)
     out.span_basis = None
     return out

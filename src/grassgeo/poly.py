@@ -304,11 +304,11 @@ class Poly:
         if len(point) != self.ring.nvars:
             raise ValueError("point arity mismatch")
         acc = None
-        for e, c in sorted(self.terms.items()):
+        for e, c in self.terms.items():
             t = c
             for x, k in zip(point, e):
-                for _ in range(k):
-                    t = t * x
+                if k:
+                    t = t * x**k
             acc = t if acc is None else acc + t
         return self.ring.field.zero if acc is None else acc
 

@@ -1,7 +1,10 @@
 """Projective varieties as homogeneous ideals.
 
-Smooth-point tests via Jacobian rank, embedded tangent spaces, exact
-point sampling (parametrizations over any field, roots of random line
+A variety differentiates its generators once, when it is made, and
+keeps the gradients.  One Jacobian evaluates them over the field or
+over its jets; it serves smooth-point tests by Jacobian rank, embedded
+tangent spaces and the jet probes of `associated`.  Also: exact point
+sampling (parametrizations over any field, roots of random line
 restrictions over prime fields for hypersurfaces), tangent-hyperplane
 witnesses, and dual varieties of complete intersections by Lagrange
 elimination.
@@ -35,6 +38,7 @@ class ProjVariety:
                 raise InvalidInput("generators must be homogeneous")
         self.ring = ring
         self.gens = gens
+        self.gradients = tuple(g.gradient() for g in gens)
         self.ideal = Ideal(ring, gens)
         self.parametrization = parametrization
         if parametrization is not None:
@@ -78,10 +82,11 @@ class ProjVariety:
         pt = [self.field.of(v) for v in x]
         return all(not g.evaluate(pt) for g in self.gens)
 
-    def jacobian_at(self, x):
-        pt = [self.field.of(v) for v in x]
-        rows = [[g.diff(i).evaluate(pt) for i in range(self.ring.nvars)] for g in self.gens]
-        return Matrix(self.field, rows, self.ring.nvars)
+    def jacobian_at(self, x, ring=None):
+        """The gradients at x, one row per generator, over the field or `ring` (its jets)."""
+        ring = self.field if ring is None else ring
+        pt = [ring.of(v) for v in x]
+        return Matrix(ring, [[d.evaluate(pt) for d in grad] for grad in self.gradients], self.ring.nvars)
 
     def is_smooth_point(self, x):
         """(smooth?, tangent dimension); raises if x is off the variety."""
@@ -92,10 +97,12 @@ class ProjVariety:
         return rank == self.codim(), tangent_dim
 
     def embedded_tangent_space(self, x) -> Subspace:
-        smooth, _ = self.is_smooth_point(x)
-        if not smooth:
-            raise ValueError("singular point")
+        if not self.contains_point(x):
+            raise ValueError("point is not on the variety")
         ker = self.jacobian_at(x).nullspace()
+        # smooth <=> Jacobian rank = codim <=> kernel dimension = dim + 1
+        if ker.nrows != self.dimension() + 1:
+            raise ValueError("singular point")
         return Subspace(self.field, self.n, ker, check=False)
 
     def parametrize(self, theta):
@@ -209,8 +216,8 @@ def dual_variety(v: ProjVariety) -> ProjVariety:
     gens = [g.substitute(big, xv) for g in v.gens]
     for i in range(n + 1):
         expr = big.zero()
-        for j, g in enumerate(v.gens):
-            expr = expr + lv[j] * g.diff(i).substitute(big, xv)
+        for j, grad in enumerate(v.gradients):
+            expr = expr + lv[j] * grad[i].substitute(big, xv)
         gens.append(sv * yv[i] - expr)
     mu = big.zero()
     for j in range(c):
