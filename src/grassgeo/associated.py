@@ -176,12 +176,11 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
     field = v.field
     lperp = perp_dual(sample.subspace)
     xprime = sample.witness.normal  # H as a point of the dual space
-    if not dual.contains_point(xprime):
+    on_dual, tprime = _dual_tangent(dual, xprime)
+    if not on_dual:
         raise NonGeneralConfiguration("dual witness point off the dual variety")
-    smooth, _ = dual.is_smooth_point(xprime)
-    if not smooth:
+    if tprime is None:
         raise NonGeneralConfiguration("dual witness point singular")
-    tprime = dual.embedded_tangent_space(xprime)
     ad = adapted_basis(lperp)
     rows = [ad.quotient_coords(r) for r in tprime.basis.rows]
     dual_space = _rank_one_conormals(ad, rows, xprime)
@@ -189,6 +188,13 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
     # re-express over the sample's own adapted basis
     rebased = [rebase_hom(h, a).matrix for h in back.homs()]
     return HomSpace(CONORMAL, a, rebased)
+
+
+def _dual_tangent(dual: ProjVariety, xprime):
+    """(x' on the dual?, its tangent space there from one Jacobian, None off the dual or singular)."""
+    if not dual.contains_point(xprime):
+        return False, None
+    return True, dual.smooth_tangent_space(xprime)
 
 
 def associated_tangent_pushforward(sample: AssociatedSample, v: ProjVariety, seed=0) -> HomSpace:
@@ -374,17 +380,12 @@ def transported_dual_sample(sample: AssociatedSample, v: ProjVariety, dual: Proj
     xprime = sample.witness.normal
     hprime = hyperplane_subspace(field, sample.witness.point)
     checks = []
-    on_dual = dual.contains_point(xprime)
+    on_dual, tprime = _dual_tangent(dual, xprime)
     checks.append(("dual point on dual variety", on_dual))
-    smooth = False
-    tangent_ok = False
     if on_dual:
-        smooth, _ = dual.is_smooth_point(xprime)
-        checks.append(("dual point smooth", smooth))
-        if smooth:
-            tprime = dual.embedded_tangent_space(xprime)
-            tangent_ok = hprime.contains(tprime)
-            checks.append(("dual tangent inside dual witness hyperplane", tangent_ok))
+        checks.append(("dual point smooth", tprime is not None))
+        if tprime is not None:
+            checks.append(("dual tangent inside dual witness hyperplane", hprime.contains(tprime)))
     checks.append(("perp contains dual point", lperp.contains_point(xprime)))
     checks.append(("perp inside dual hyperplane", hprime.contains(lperp)))
     checks.append(("level", lperp.ell == n - sample.ell - 1))

@@ -46,7 +46,6 @@ from .osc import (
     ParamCurve,
     classify_strongly_isotropic_family,
     dual_curve,
-    osc_tangent_hom,
     osculating_space,
     projective_equal_points,
 )
@@ -163,7 +162,11 @@ def _random_subspaces(v, ell, count, seed):
     return out
 
 
-def _form_report(v, ell, args, checks):
+def cmd_form(args, field):
+    """Chow (level codim-1) or Hurwitz (level codim) form of the variety."""
+    v = load_variety(args.variety, field)
+    checks = CheckList()
+    ell = v.codim() - 1 if args.command == "chow" else v.codim()
     ideal = chow_hurwitz_ideal(v, ell)
     checks.add("nonempty ideal", bool(ideal.gens))
     form = ideal.gens[0] if ideal.gens else None
@@ -186,20 +189,6 @@ def _form_report(v, ell, args, checks):
         checks.add(
             "nonzero on random planes", nonzero >= len(randoms) - 1, "%d/%d" % (nonzero, len(randoms))
         )
-    return results
-
-
-def cmd_chow(args, field):
-    v = load_variety(args.variety, field)
-    checks = CheckList()
-    results = _form_report(v, v.codim() - 1, args, checks)
-    return results, checks
-
-
-def cmd_hurwitz(args, field):
-    v = load_variety(args.variety, field)
-    checks = CheckList()
-    results = _form_report(v, v.codim(), args, checks)
     return results, checks
 
 
@@ -284,19 +273,14 @@ def cmd_osc(args, field):
     out = []
     for i in range(args.samples):
         t = field.of(stream.spawn(i).randrange(1, 10_000))
-        h = osc_tangent_hom(c, t, args.k)
         sample = osculating_space(c, t, args.k)
-        ok = h.rank() == 1 and h.kernel_subspace().same_as(sample.prev)
+        h = sample.tangent_hom()
+        rank = h.rank()
+        ok = rank == 1 and h.kernel_subspace().same_as(sample.prev)
         if sample.next is not None:
             ok = ok and h.image_subspace().same_as(sample.next)
         checks.add("sample %d rank-one with predicted kernel/image" % i, ok)
-        out.append(
-            {
-                "t": fmt_scalar(field, t),
-                "subspace": fmt_subspace(field, sample.subspace),
-                "hom_rank": h.rank(),
-            }
-        )
+        out.append({"t": fmt_scalar(field, t), "subspace": fmt_subspace(field, sample.subspace), "hom_rank": rank})
     return {"k": args.k, "samples": out}, checks
 
 
@@ -350,13 +334,28 @@ def cmd_classify_family(args, field):
     }, checks
 
 
+# every subcommand takes --field and --seed, which every report prints
+OPTIONS = {
+    "field": {"default": "fp:32003", "help": "q or fp:<prime>"},
+    "seed": {"type": int, "default": 0},
+    "samples": {"type": int, "default": 5},
+    "variety": {"help": "JSON file or builtin name"},
+    "curve": {"help": "curve JSON file"},
+    "input": {"help": "samples JSON file"},
+    "f": {"help": "hypersurface polynomial"},
+    "n": {"type": int, "help": "ambient dimension for --f"},
+    "ell": {"type": int, "default": 1},
+    "m": {"type": int, "default": 2},
+    "k": {"type": int, "default": 1},
+}
+# handler and the options it reads
 COMMANDS = {
-    "chow": (cmd_chow, ("variety", "samples", "seed")),
-    "hurwitz": (cmd_hurwitz, ("variety", "samples", "seed")),
+    "chow": (cmd_form, ("variety", "samples", "seed")),
+    "hurwitz": (cmd_form, ("variety", "samples", "seed")),
     "polar-degrees": (cmd_polar_degrees, ("variety",)),
     "sample-associated": (cmd_sample_associated, ("variety", "ell", "samples", "seed")),
     "classify": (cmd_classify, ("variety", "ell", "samples", "seed")),
-    "contact": (cmd_contact, ("f", "m", "samples", "seed")),
+    "contact": (cmd_contact, ("f", "n", "m", "samples", "seed")),
     "osc": (cmd_osc, ("curve", "k", "samples", "seed")),
     "dual-curve": (cmd_dual_curve, ("curve", "seed")),
     "dualize": (cmd_dualize, ("variety",)),
@@ -367,19 +366,10 @@ COMMANDS = {
 def build_parser():
     ap = argparse.ArgumentParser(prog="grassgeo", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--field", default="fp:32003", help="q or fp:<prime>")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--variety", help="JSON file or builtin name")
-        p.add_argument("--curve", help="curve JSON file")
-        p.add_argument("--input", help="samples JSON file")
-        p.add_argument("--f", help="hypersurface polynomial")
-        p.add_argument("--n", type=int, help="ambient dimension for --f")
-        p.add_argument("--ell", type=int, default=1)
-        p.add_argument("--m", type=int, default=2)
-        p.add_argument("--k", type=int, default=1)
+    for name, (_, used) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)  # else --f would abbreviate --field outside contact
+        for option in dict.fromkeys(("field", "seed") + used):
+            p.add_argument("--" + option, **OPTIONS[option])
     return ap
 
 
@@ -390,7 +380,7 @@ def run(argv=None):
     handler, used = COMMANDS[args.command]
     results, checks = handler(args, field)
     elapsed_ms = int((time.time() - started) * 1000)
-    inputs = {k: getattr(args, k.replace("-", "_")) for k in used}
+    inputs = {k: getattr(args, k) for k in used if k != "n"}  # contact's --n is not hashed yet: ROADMAP item 1
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -7,7 +7,9 @@ by (f_1, ..., f_{k-1}) carry the tangent flag along L.  The family's
 tangent space at L is computed from the kernel of the Jacobian of the
 coefficient system of f(a + t*b), pushed along the row-space chart,
 and its trace annihilator gives the conormal space whose rank-one
-structure the verification checks point by point.
+structure the verification checks point by point.  A sampled line
+keeps its adapted basis (the chart frame) and the tangent space at p,
+and the flag rows are read from the terms of the f_k.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from .errors import CertificateNotApplicable, InvalidInput, NonGeneralConfigurat
 from .grassmann import (
     CONORMAL,
     TANGENT,
+    AdaptedBasis,
     Hom,
     HomSpace,
     Subspace,
     adapted_basis,
+    point_subspace,
     stiefel_differential,
     subspace_from_rows,
     tangent_from_action,
@@ -52,17 +56,10 @@ class ContactConfig:
     point: tuple  # p, the contact point
     direction_point: tuple  # q, a second point of the line
     line: Subspace
-    frame: Matrix  # rows: p, q, then unit completion
+    adapted: AdaptedBasis  # the line's adapted basis; its rows p, q, unit completion frame the chart
     chart_parts: dict  # degree -> graded piece of f in chart coordinates
     flag: list  # [T_L C_k for k = 2..m], nested subspaces of P^n
     tangent_at_p: Subspace
-
-
-def _chart_frame(field, p, q):
-    """Invertible frame with rows p, q and deterministic unit completion."""
-    line = subspace_from_rows(field, len(p) - 1, [p, q])
-    a = adapted_basis(line)
-    return line, a.full
 
 
 def _chart_parts(v: ProjVariety, frame: Matrix):
@@ -73,6 +70,18 @@ def _chart_parts(v: ProjVariety, frame: Matrix):
     images = linear_combinations((yring.one(),) + yring.gens(), frame.rows)
     chart = v.gens[0].substitute(yring, images)
     return yring, chart.homogeneous_parts()
+
+
+def _gradient_at_e1(fk, k):
+    """The gradient at e_1 of f_k, a form of degree k in y_1..y_n, read from its terms.
+
+    Only y_1^k and the y_1^(k-1) y_j have partials that do not vanish at e_1: the row
+    is (k c(y_1^k), c(y_1^(k-1) y_j) for j = 2..n), for k = 1 the coefficients of f_1.
+    """
+    n = fk.ring.nvars
+    row = [fk.coeff([k - 1 + (j == 0)] + [int(i == j) for i in range(1, n)]) for j in range(n)]
+    row[0] = k * row[0]
+    return row
 
 
 def line_contact_order(v: ProjVariety, p, q):
@@ -98,24 +107,21 @@ def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
     """
     _check_contact_order(v, m)
     field = v.field
+    n = v.n
     p = tuple(field.of(c) for c in p)
     q = tuple(field.of(c) for c in q)
-    smooth, _ = v.is_smooth_point(p)
-    if not smooth:
+    tangent = v.smooth_tangent_space(p)
+    if tangent is None:
         raise NonGeneralConfiguration("contact point must be smooth")
     order = line_contact_order(v, p, q)
     if order != m:
         raise NonGeneralConfiguration("line has contact order %r, wanted %d" % (order, m))
-    line, frame = _chart_frame(field, p, q)
-    yring, parts = _chart_parts(v, frame)
-    n = v.n
-    e1 = [field.one] + [field.zero] * (n - 1)
+    line = subspace_from_rows(field, n, [p, q])
+    adapted = adapted_basis(line)
+    yring, parts = _chart_parts(v, adapted.full)
     # gradient rows: grad f_1, grad f_2(e_1), ..., grad f_{m-1}(e_1)
-    grad_rows = []
-    for k in range(1, m):
-        fk = parts.get(k, yring.zero())
-        grad_rows.append([d.evaluate(e1) for d in fk.gradient()])
-    directions = frame.submatrix(range(1, n + 1), range(n + 1))  # chart y maps to y @ directions
+    grad_rows = [_gradient_at_e1(parts.get(k, yring.zero()), k) for k in range(1, m)]
+    directions = adapted.full.submatrix(range(1, n + 1), range(n + 1))  # chart y maps to y @ directions
     flag = []
     for k in range(2, m + 1):
         rows = Matrix(field, grad_rows[: k - 1])
@@ -129,7 +135,6 @@ def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
     for sub in flag:
         if not sub.contains(line):
             raise NonGeneralConfiguration("flag member lost the line")
-    tangent = v.embedded_tangent_space(p)
     if not flag[0].same_as(tangent):
         raise NonGeneralConfiguration("chart tangent disagrees with Jacobian tangent")
     return ContactConfig(
@@ -138,7 +143,7 @@ def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
         point=p,
         direction_point=q,
         line=line,
-        frame=frame,
+        adapted=adapted,
         chart_parts=parts,
         flag=flag,
         tangent_at_p=tangent,
@@ -162,12 +167,10 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
         except SamplingError:
             continue
         # chart at p with unit completion
-        psub = subspace_from_rows(field, n, [p])
-        frame = adapted_basis(psub).full
+        frame = adapted_basis(point_subspace(field, p)).full
         yring, parts = _chart_parts(v, frame)
         # linear constraints: grad f_1 plus n-m seeded slices
-        g1 = parts.get(1)
-        rows = [[d.constant_coeff() for d in g1.gradient()]]
+        rows = [_gradient_at_e1(parts[1], 1)]
         slicer = s.spawn("slice")
         for _ in range(n - m):
             rows.append([field.of(c) for c in slicer.vector(field, n, 10)])
@@ -238,16 +241,11 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
     def coeff(f, j):
         return f[j] if 0 <= j < len(f) else field.zero
 
-    rows = []
-    for j in range(m):
-        row = [coeff(partials[kk], j) for kk in range(n + 1)]
-        row += [coeff(partials[kk], j - 1) for kk in range(n + 1)]
-        rows.append(row)
-    jac = Matrix(field, rows)
+    jac = Matrix(field, [[coeff(f, j) for f in partials] + [coeff(f, j - 1) for f in partials] for j in range(m)])
     if jac.rank() != m:
         raise NonGeneralConfiguration("non-general configuration, reseed (Jacobian rank)")
     ker = jac.nullspace()
-    a = adapted_basis(cfg.line)
+    a = cfg.adapted
     mats = []
     for vrow in ker.rows:
         mrows = [vrow[: n + 1], vrow[n + 1 :]]
@@ -263,7 +261,7 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
 
 def structural_kernel_homs(cfg: ContactConfig) -> HomSpace:
     """Tangent directions fixing p with image inside T_L C_m / L."""
-    a = adapted_basis(cfg.line)
+    a = cfg.adapted
     field = cfg.variety.field
     top = cfg.flag[-1]  # T_L C_m
     qrows = Matrix(field, [a.quotient_coords(r) for r in top.basis.rows]).row_space_basis()
@@ -316,16 +314,11 @@ def verify_contact_theorem(cfg: ContactConfig) -> ClassificationReport:
     if len(locus.points) == 1:
         lam, matr, _ = locus.points[0]
         h = Hom(CONORMAL, matr, conormal.adapted)
-        rep.check("rank-one image is the contact point", h.image_subspace().same_as(
-            subspace_from_rows(v.field, v.n, [cfg.point])
-        ))
-        rep.check("rank-one kernel is the tangent hyperplane", h.kernel_subspace().same_as(
-            cfg.tangent_at_p
-        ))
+        rep.check("rank-one image is the contact point", h.image_subspace().same_as(point_subspace(v.field, cfg.point)))
+        rep.check("rank-one kernel is the tangent hyperplane", h.kernel_subspace().same_as(cfg.tangent_at_p))
     try:
         cert = segre_tangency_certificate(conormal)
-        rep.check("Segre multiplicity = m-1", cert.multiplicity == m - 1,
-                  "mult %r" % (cert.multiplicity,))
+        rep.check("Segre multiplicity = m-1", cert.multiplicity == m - 1, "mult %r" % (cert.multiplicity,))
         rep.check("Segre Bezout total", cert.bezout_total_ok)
         rep.flags["segre_tangency"] = cert.multiplicity == m - 1 and cert.unique_point
         if rep.flags["segre_tangency"]:

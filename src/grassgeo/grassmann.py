@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import FieldMismatch
-from .linalg import Matrix, row_space_contains
+from .linalg import Matrix, exterior_minors, row_space_contains
 from .poly import Ideal, PolyRing, linear_combinations, normalized_generators
 
 
@@ -321,9 +321,13 @@ class Hom:
 
 
 class HomSpace:
-    """A linear space of Homs over one adapted basis (canonical basis)."""
+    """A linear space of Homs over one adapted basis (canonical basis).
 
-    __slots__ = ("direction", "adapted", "mats")
+    It keeps its rank-one analysis once made, as a Subspace keeps its Pluecker
+    vector: the minor ideal, and the locus `isoclass.rank_one_locus` solves from it.
+    """
+
+    __slots__ = ("direction", "adapted", "mats", "_minor_ideal", "rank_one")
 
     def __init__(self, direction, adapted, mats, reduce=True):
         self.direction = direction
@@ -335,6 +339,8 @@ class HomSpace:
             red = self._flat_matrix(mats).row_space_basis()
             mats = [_unflat(adapted.field, row, shape) for row in red.rows]
         self.mats = tuple(mats)
+        self._minor_ideal = None
+        self.rank_one = None  # the rank-one locus, kept by isoclass.rank_one_locus
 
     def _flat_matrix(self, mats):
         nr, nc = self.shape()
@@ -369,6 +375,17 @@ class HomSpace:
         nr, nc = self.shape()
         flat = linear_combinations(ring.gens(), [_flat(m) for m in self.mats])
         return [flat[i * nc : (i + 1) * nc] for i in range(nr)]
+
+    @property
+    def minor_ideal(self) -> Ideal:
+        """The 2x2 minors of the generic element sum_i l_i * mats[i] (dim >= 1): its rank <= 1 scheme."""
+        if self._minor_ideal is None:
+            ring = PolyRing(self.adapted.field, tuple("l%d" % i for i in range(self.dim)))
+            rows = self.generic_element_poly_matrix(ring)
+            ncols = len(rows[0]) if rows else 0
+            minors = [m for pair in combinations(rows, 2) for m in exterior_minors(pair, ncols)] if ncols >= 2 else []
+            self._minor_ideal = Ideal(ring, minors)
+        return self._minor_ideal
 
     def __repr__(self):
         return "HomSpace(%s, dim=%d)" % (self.direction, self.dim)

@@ -6,19 +6,21 @@ strong space (every combination rank <= 1), an explicit rank-one
 spanning set, the low-dimension fallback, or (for contact-line
 families, via the contact module) the Segre tangency certificate.
 Anything else is reported as inconclusive, never as a refutation.
+A Hom space keeps its minor ideal and rank-one locus, so every check
+that reads them shares one analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from math import comb
 
 from . import univariate
 from .errors import CertificateNotApplicable, NotIsolated
 from .grassmann import HomSpace
 from .groebner import groebner
 from .hilbert import hilbert_dim_degree, local_multiplicity
-from .linalg import Matrix, exterior_minors
+from .linalg import Matrix
 from .poly import LEX, Ideal, PolyRing
 
 
@@ -100,48 +102,44 @@ def _affine_chart(ring, gens, chart, zero_before=False):
 @dataclass
 class RankOneLocus:
     points: list  # (lambda tuple, Hom matrix, multiplicity or None)
-    positive_dimensional: bool = False
+    dim: int  # projective dimension of the minor scheme, -1 when it is empty
+    degree: int  # its degree, 0 when it is empty
     complete: bool = True  # False when solutions exist outside the field
-    ideal: Ideal = None
 
-
-def _lambda_ring(field, k):
-    return PolyRing(field, tuple("l%d" % i for i in range(k)))
-
-
-def _minor_ideal(space: HomSpace):
-    ring = _lambda_ring(space.adapted.field, space.dim)
-    rows = space.generic_element_poly_matrix(ring)
-    if not rows or len(rows[0]) < 2:
-        return Ideal(ring, [])
-    ncols = len(rows[0])
-    return Ideal(ring, [m for pair in combinations(rows, 2) for m in exterior_minors(pair, ncols)])
+    @property
+    def positive_dimensional(self):
+        return self.dim >= 1
 
 
 def rank_one_locus(space: HomSpace) -> RankOneLocus:
     """Projective rank-one elements of the span over the base field.
 
-    Spans of dimension >= 4 with a zero-dimensional locus are out of
-    the solver's scope and raise CertificateNotApplicable.
+    Solved once per space and kept on it (`space.rank_one`).  Spans of
+    dimension >= 4 with a zero-dimensional locus are out of the
+    solver's scope and raise CertificateNotApplicable.
     """
+    if space.rank_one is None:
+        space.rank_one = _solve_rank_one_locus(space)
+    return space.rank_one
+
+
+def _solve_rank_one_locus(space: HomSpace) -> RankOneLocus:
     k = space.dim
     fld = space.adapted.field
     if k == 0:
-        return RankOneLocus(points=[])
-    ideal = _minor_ideal(space)
+        return RankOneLocus(points=[], dim=-1, degree=0)
+    ideal = space.minor_ideal
     if not ideal.gens:
         # the whole span is rank <= 1
         if k == 1:
-            return RankOneLocus(points=[((fld.one,), space.mats[0], 1)], ideal=ideal)
-        return RankOneLocus(points=[], positive_dimensional=True, ideal=ideal)
+            return RankOneLocus(points=[((fld.one,), space.mats[0], 1)], dim=0, degree=1)
+        return RankOneLocus(points=[], dim=k - 1, degree=1)
     if k == 1:
         # single projective point: rank-one iff all minors vanish (they don't here)
-        return RankOneLocus(points=[], ideal=ideal)
+        return RankOneLocus(points=[], dim=-1, degree=0)
     dim, deg = hilbert_dim_degree(ideal)
-    if dim >= 1:
-        return RankOneLocus(points=[], positive_dimensional=True, ideal=ideal)
-    if dim == -1:
-        return RankOneLocus(points=[], ideal=ideal)
+    if dim != 0:
+        return RankOneLocus(points=[], dim=dim, degree=deg)
     pts = []
     complete = True
     for chart in range(k):
@@ -160,7 +158,7 @@ def rank_one_locus(space: HomSpace) -> RankOneLocus:
     for lam in pts:
         mult = _point_multiplicity(ideal, lam)
         out.append((lam, space.element(lam), mult))
-    return RankOneLocus(points=out, ideal=ideal, complete=complete)
+    return RankOneLocus(points=out, dim=dim, degree=deg, complete=complete)
 
 
 def _point_multiplicity(ideal: Ideal, lam):
@@ -230,9 +228,7 @@ class ClassificationReport:
 def is_strong(space: HomSpace) -> bool:
     """Every combination rank <= 1: all 2x2 minors of the generic
     element vanish identically."""
-    if space.dim == 0:
-        return True
-    return not _minor_ideal(space).gens
+    return space.dim == 0 or not space.minor_ideal.gens
 
 
 def alpha_beta_type(space: HomSpace):
@@ -278,15 +274,13 @@ def classify(space: HomSpace, mode: str, family_dim=None) -> ClassificationRepor
         rep.flags["low_dim_fallback"] = family_dim <= n - 1
     else:
         rep.flags["low_dim_fallback"] = total - family_dim <= n - 1
-    hyp = space.dim == 1 and space.homs()[0].rank() <= 1
+    hyp = space.dim == 1 and strong  # one generator: strong means rank <= 1
     rep.flags["hypersurface_rank_one"] = hyp
     spanned = False
     if strong:
         spanned = True
         for h in space.homs():
-            rep.witnesses.append(
-                {"lambda": (), "rank": h.rank(), "multiplicity": None}
-            )
+            rep.witnesses.append({"lambda": (), "rank": h.rank(), "multiplicity": None})
     else:
         try:
             locus = rank_one_locus(space)
@@ -351,36 +345,34 @@ def _common_kernel_rows(space: HomSpace):
 def segre_tangency_certificate(space: HomSpace) -> SegreCertificate:
     """Unique-rank-one-point certificate with intersection multiplicity.
 
-    The generators' common kernel is quotiented out first; the
-    projectivized span must then have dimension equal to the reduced
-    Segre codimension.  Multiplicity comes from the local quotient at
-    the unique point (spans of dim <= 3), with the Bezout total
-    cross-checked against the Segre degree.
+    The generators' common kernel is quotiented out first (when it is
+    zero the projection is the identity, and the space itself, with the
+    rank-one locus it keeps, is used); the projectivized span must then
+    have dimension equal to the reduced Segre codimension.  Multiplicity
+    comes from the local quotient at the unique point (spans of dim <=
+    3), with the Bezout total cross-checked against the Segre degree.
     """
     k = space.dim
     if k == 0:
         raise CertificateNotApplicable("empty span")
     fld = space.adapted.field
     common = _common_kernel_rows(space)
-    # restrict to a complement of the common kernel
-    keep = _complement_projection(common, space.mats[0].nrows, fld)
-    reduced = [keep @ m for m in space.mats]
-    nr = reduced[0].nrows - common.nrows
-    nc = reduced[0].ncols
+    red_space = space
+    if common.nrows:
+        # restrict to a complement of the common kernel
+        keep = _complement_projection(common, space.mats[0].nrows, fld)
+        red_space = HomSpace(space.direction, space.adapted, [keep @ m for m in space.mats], reduce=False)
+    nr = space.mats[0].nrows - common.nrows
+    nc = space.mats[0].ncols
     seg_codim = (nr - 1) * (nc - 1)
     if k - 1 != seg_codim:
-        raise CertificateNotApplicable(
-            "span dimension %d != reduced Segre codimension %d" % (k - 1, seg_codim)
-        )
-    from math import comb
-
+        raise CertificateNotApplicable("span dimension %d != reduced Segre codimension %d" % (k - 1, seg_codim))
     seg_degree = comb((nr - 1) + (nc - 1), nr - 1)
-    red_space = HomSpace(space.direction, space.adapted, reduced, reduce=False)
     if seg_codim == 0:
         # everything is rank <= 1: single generator case
         if k != 1:
             raise CertificateNotApplicable("ambient Segre with a positive-dimensional span")
-        mat = reduced[0]
+        mat = red_space.mats[0]
         if mat.rank() > 1:
             raise CertificateNotApplicable("generator has rank >= 2 after reduction")
         return SegreCertificate(
@@ -392,11 +384,10 @@ def segre_tangency_certificate(space: HomSpace) -> SegreCertificate:
             reduced_shape=(nr, nc),
             kernel_quotient_dim=common.nrows,
         )
-    ideal = _minor_ideal(red_space)
-    dim, deg = hilbert_dim_degree(ideal)
-    if dim != 0:
-        raise CertificateNotApplicable("minor scheme not zero-dimensional (dim %d)" % dim)
     locus = rank_one_locus(red_space)
+    if locus.dim != 0:
+        raise CertificateNotApplicable("minor scheme not zero-dimensional (dim %d)" % locus.dim)
+    deg = locus.degree
     pts = [(lam, mult) for lam, _, mult in locus.points]
     unique = len(pts) == 1 and locus.complete
     mult = pts[0][1] if pts else 0

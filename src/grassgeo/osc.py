@@ -2,6 +2,8 @@
 
 A parametrized curve carries, at each non-stationary parameter value,
 the flag of osculating k-planes (row spaces of derivative matrices).
+A sample keeps the derivative rows it evaluated, and reads its plane,
+the neighbouring planes and its tangent hom from them.
 The tangent direction of the osculating family is a single rank-one
 map whose kernel/image are the neighbouring osculating planes; the
 shift maps recover those neighbours from any isotropic curve sample.
@@ -95,9 +97,19 @@ class ParamCurve:
 class OscSample:
     t: object
     k: int
+    rows: Matrix  # c(t), c'(t), ..., c^(k+1)(t)
     subspace: Subspace
     prev: Subspace
     next: Subspace  # None when k = n-1 has no defined successor
+
+    def tangent_hom(self) -> Hom:
+        """Rank-one tangent of the osculating family: kernel the previous
+        plane, image the next one."""
+        k, n = self.k, self.subspace.n
+        if self.next is None and k <= n - 2:
+            raise NonGeneralConfiguration("stationary point at order k+1")
+        m = self.rows.submatrix(range(1, k + 2), range(n + 1))
+        return stiefel_differential(adapted_basis(self.subspace), m)
 
 
 def osculating_space(c: ParamCurve, t, k) -> OscSample:
@@ -110,21 +122,14 @@ def osculating_space(c: ParamCurve, t, k) -> OscSample:
         raise NonGeneralConfiguration("stationary/hyperosculating point")
     sub = Subspace(c.field, c.n, top, check=False)
     prev = Subspace(c.field, c.n, rows.submatrix(range(k), range(c.n + 1)), check=False)
-    nxt = None
-    if rows.rank() == k + 2:
-        nxt = Subspace(c.field, c.n, rows.row_space_basis(), check=False)
-    return OscSample(t=t, k=k, subspace=sub, prev=prev, next=nxt)
+    span = rows.row_space_basis()
+    nxt = Subspace(c.field, c.n, span, check=False) if span.nrows == k + 2 else None
+    return OscSample(t=t, k=k, rows=rows, subspace=sub, prev=prev, next=nxt)
 
 
 def osc_tangent_hom(c: ParamCurve, t, k) -> Hom:
-    """Rank-one tangent of the osculating family: kernel the previous
-    plane, image the next one."""
-    sample = osculating_space(c, t, k)
-    if sample.next is None and k <= c.n - 2:
-        raise NonGeneralConfiguration("stationary point at order k+1")
-    a = adapted_basis(sample.subspace)
-    m = c.derivative_rows(t, k + 1).submatrix(range(1, k + 2), range(c.n + 1))
-    return stiefel_differential(a, m)
+    """The tangent hom of the osculating k-plane at c(t) (OscSample.tangent_hom)."""
+    return osculating_space(c, t, k).tangent_hom()
 
 
 def osc_family_space(c: ParamCurve, t, k) -> HomSpace:
@@ -223,9 +228,7 @@ def classify_strongly_isotropic_family(samples):
         return "curve", None
     if len(dims) != 1:
         return "inconclusive", None
-    results = []
-    for _, space in samples:
-        results.append(alpha_beta_type(space))
+    results = [alpha_beta_type(space) for _, space in samples]
     tags = {tag for tag, _ in results}
     if len(tags) != 1:
         raise InvalidInput("mixed alpha/beta structure across samples")

@@ -96,14 +96,19 @@ class ProjVariety:
         tangent_dim = self.n - rank
         return rank == self.codim(), tangent_dim
 
-    def embedded_tangent_space(self, x) -> Subspace:
+    def smooth_tangent_space(self, x):
+        """The embedded tangent space at x from one Jacobian, None where x is singular."""
         if not self.contains_point(x):
             raise ValueError("point is not on the variety")
         ker = self.jacobian_at(x).nullspace()
         # smooth <=> Jacobian rank = codim <=> kernel dimension = dim + 1
-        if ker.nrows != self.dimension() + 1:
+        return Subspace(self.field, self.n, ker, check=False) if ker.nrows == self.dimension() + 1 else None
+
+    def embedded_tangent_space(self, x) -> Subspace:
+        tangent = self.smooth_tangent_space(x)
+        if tangent is None:
             raise ValueError("singular point")
-        return Subspace(self.field, self.n, ker, check=False)
+        return tangent
 
     def parametrize(self, theta):
         pring, coords = self.parametrization

@@ -162,3 +162,27 @@ def test_exit_codes(case, tmp_path, capsys, monkeypatch):
     assert code == want
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    parser = grassgeo.cli.build_parser()
+    for name, (_, used) in grassgeo.cli.COMMANDS.items():
+        for option in grassgeo.cli.OPTIONS:
+            argv = [name, "--" + option, "1"]
+            if option in ("field", "seed") + used:
+                assert getattr(parser.parse_args(argv), option) in ("1", 1)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2
+                assert "unrecognized arguments: --%s" % option in capsys.readouterr().err
+
+
+def test_chow_and_hurwitz_share_one_handler_at_their_two_levels(capsys):
+    levels = {}
+    for command in ("chow", "hurwitz"):
+        code, rep = _run(capsys, [command, "--variety", "twisted-cubic", "--samples", "2"])
+        assert code == 0
+        levels[command] = rep["results"]["level"]
+    assert levels == {"chow": 1, "hurwitz": 2}
+    assert grassgeo.cli.COMMANDS["chow"][0] is grassgeo.cli.COMMANDS["hurwitz"][0]

@@ -1,0 +1,244 @@
+"""Each object derived from a sample is computed once and read by every check.
+
+An osculating sample keeps its derivative rows, a contact line its
+adapted basis and the tangent space at its point, and a Hom space its
+2x2-minor ideal and rank-one locus.  The counts below pin that down;
+the oracles check that what is kept equals what a fresh computation
+gives.
+"""
+
+import json
+import random
+from math import comb
+
+import pytest
+
+from grassgeo import contact, grassmann, isoclass
+from grassgeo.associated import associated_conormal, sample_associated, transported_dual_sample
+from grassgeo.cli import main
+from grassgeo.contact import (
+    contact_tangent_space,
+    sample_contact_line,
+    taylor_cone_flag,
+    verify_contact_theorem,
+)
+from grassgeo.errors import CertificateNotApplicable
+from grassgeo.fields import GF, QQ
+from grassgeo.grassmann import CONORMAL, TANGENT, HomSpace, adapted_basis, subspace_from_rows, trace_annihilator
+from grassgeo.hilbert import hilbert_dim_degree
+from grassgeo.isoclass import (
+    SegreCertificate,
+    _common_kernel_rows,
+    _complement_projection,
+    classify,
+    rank_one_locus,
+    segre_tangency_certificate,
+)
+from grassgeo.linalg import Matrix
+from grassgeo.osc import ParamCurve
+from grassgeo.projvar import ProjVariety, dual_variety
+from grassgeo.rng import Stream
+from grassgeo.varieties import quadric_surface, random_hypersurface, segre
+
+F = GF(32003)
+
+
+def _counter(monkeypatch, owner, name, calls=None):
+    """Patch owner.name to record the receiver (first argument) of each call in `calls`, a new list
+    unless given; returns the list."""
+    calls = [] if calls is None else calls
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _contact_lines(count, m=3):
+    """(surface, contact line) pairs on seeded cubic surfaces over F_32003."""
+    out = []
+    for s in range(count):
+        v = random_hypersurface(F, 3, 3, seed=100 + s)
+        out.append((v, sample_contact_line(v, m, seed=Stream(7, s).seed)))
+    return out
+
+
+# -- osculating samples ------------------------------------------------------------------------------
+
+
+def test_osc_command_evaluates_the_derivative_rows_once_per_sample(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"coords": ["1", "p0", "p0^2", "p0^3", "p0^4"]}))
+    calls = _counter(monkeypatch, ParamCurve, "derivative_rows")
+    for k in (1, 2):
+        calls.clear()
+        assert main(["osc", "--curve", str(path), "--k", str(k), "--samples", "4", "--seed", "3"]) == 0
+        assert len(calls) == 4
+    capsys.readouterr()
+
+
+# -- contact lines -----------------------------------------------------------------------------------
+
+
+def test_verify_contact_theorem_analyses_the_conormal_space_once(monkeypatch):
+    for _, cfg in _contact_lines(3):
+        minor_ideals = _counter(monkeypatch, HomSpace, "generic_element_poly_matrix")
+        multiplicities = _counter(monkeypatch, isoclass, "local_multiplicity")
+        schemes = _counter(monkeypatch, isoclass, "hilbert_dim_degree")
+        rep = verify_contact_theorem(cfg)
+        assert rep.passed() and rep.verdict == "coisotropic"
+        # one minor ideal, one Hilbert series of it, one solve of its single point
+        assert (len(minor_ideals), len(schemes), len(multiplicities)) == (1, 1, 1)
+        monkeypatch.undo()
+
+
+def test_a_contact_line_has_one_adapted_basis(monkeypatch):
+    for v, cfg in _contact_lines(3):
+        calls = _counter(monkeypatch, contact, "adapted_basis")
+        _counter(monkeypatch, grassmann, "adapted_basis", calls)
+        line = taylor_cone_flag(v, cfg.point, cfg.direction_point, cfg.m)
+        assert line.adapted.subspace is line.line
+        verify_contact_theorem(line)
+        assert calls == [line.line]
+        monkeypatch.undo()
+
+
+def test_the_cone_flag_evaluates_one_jacobian_at_the_point(monkeypatch):
+    for v, cfg in _contact_lines(3):
+        calls = _counter(monkeypatch, ProjVariety, "jacobian_at")
+        line = taylor_cone_flag(v, cfg.point, cfg.direction_point, cfg.m)
+        assert len(calls) == 1
+        assert line.tangent_at_p.same_as(v.embedded_tangent_space(cfg.point))
+        monkeypatch.undo()
+
+
+def test_the_dual_side_evaluates_one_jacobian(monkeypatch):
+    v = quadric_surface(QQ)
+    dual = dual_variety(v)
+    for seed in range(3):
+        s = sample_associated(v, 1, seed=seed)
+        calls = _counter(monkeypatch, ProjVariety, "jacobian_at")
+        _, _, checks = transported_dual_sample(s, v, dual)
+        assert all(ok for _, ok in checks) and len(checks) == 6
+        assert calls == [dual]
+        monkeypatch.undo()
+    v, dual = segre(F, 2, 4), segre(F, 2, 4)
+    for ell in (5, 6):
+        s = sample_associated(v, ell, seed=3)
+        calls = _counter(monkeypatch, ProjVariety, "jacobian_at")
+        assert associated_conormal(s, v, dual=dual).dim
+        assert calls == [dual]
+        monkeypatch.undo()
+
+
+# -- the rank-one analysis a space keeps -------------------------------------------------------------
+
+
+def _seeded_spans(field, rng):
+    """Spans of tangent and conormal homs on a line and a plane, some with a common kernel."""
+    out = []
+    for n, ell in ((3, 1), (4, 1), (4, 2)):
+        rows = [[int(i == j) for j in range(n + 1)] for i in range(ell + 1)]
+        a = adapted_basis(subspace_from_rows(field, n, rows))
+        for direction in (TANGENT, CONORMAL):
+            nr, nc = (ell + 1, n - ell) if direction == TANGENT else (n - ell, ell + 1)
+            for dim in (1, 2, 3):
+                zero_row = rng.randrange(nr + 1)  # == nr: no common kernel from a zero row
+                mats = [
+                    Matrix(field, [[0 if i == zero_row else rng.randrange(-2, 3) for _ in range(nc)] for i in range(nr)])
+                    for _ in range(dim)
+                ]
+                space = HomSpace(direction, a, mats)
+                if space.dim:
+                    out.append(space)
+    return out
+
+
+def _locus_fields(locus):
+    return locus.points, locus.dim, locus.degree, locus.complete
+
+
+def _analysed_spaces():
+    rng = random.Random("derive-once/spans")
+    spaces = [s for field in (QQ, F) for s in _seeded_spans(field, rng)]
+    for _, cfg in _contact_lines(4):
+        spaces.append(trace_annihilator(contact_tangent_space(cfg)))
+    return spaces
+
+
+def test_the_kept_rank_one_locus_equals_a_fresh_recomputation():
+    solved = 0
+    for space in _analysed_spaces():
+        classify(space, "coisotropic" if space.direction == CONORMAL else "isotropic")
+        try:
+            kept = rank_one_locus(space)
+        except CertificateNotApplicable:
+            continue
+        solved += 1
+        assert rank_one_locus(space) is kept is space.rank_one
+        fresh = HomSpace(space.direction, space.adapted, list(space.mats), reduce=False)
+        assert fresh.rank_one is None
+        assert _locus_fields(rank_one_locus(fresh)) == _locus_fields(kept)
+        assert hilbert_dim_degree(fresh.minor_ideal) == (kept.dim, kept.degree)
+    assert solved >= 30
+
+
+def _projected_certificate(space):
+    """The Segre certificate as computed before the shortcut: always project, on fresh spaces."""
+    k = space.dim
+    fld = space.adapted.field
+    common = _common_kernel_rows(space)
+    keep = _complement_projection(common, space.mats[0].nrows, fld)
+    reduced = [keep @ m for m in space.mats]
+    nr, nc = reduced[0].nrows - common.nrows, reduced[0].ncols
+    seg_codim = (nr - 1) * (nc - 1)
+    if k - 1 != seg_codim:
+        raise CertificateNotApplicable("span dimension %d != reduced Segre codimension %d" % (k - 1, seg_codim))
+    seg_degree = comb((nr - 1) + (nc - 1), nr - 1)
+    red_space = HomSpace(space.direction, space.adapted, reduced, reduce=False)
+    if seg_codim == 0:
+        if k != 1:
+            raise CertificateNotApplicable("ambient Segre with a positive-dimensional span")
+        if reduced[0].rank() > 1:
+            raise CertificateNotApplicable("generator has rank >= 2 after reduction")
+        return SegreCertificate([((fld.one,), 1)], True, 1, seg_degree, seg_degree == 1, (nr, nc), common.nrows)
+    dim, deg = hilbert_dim_degree(red_space.minor_ideal)
+    if dim != 0:
+        raise CertificateNotApplicable("minor scheme not zero-dimensional (dim %d)" % dim)
+    locus = rank_one_locus(red_space)
+    pts = [(lam, mult) for lam, _, mult in locus.points]
+    unique = len(pts) == 1 and locus.complete
+    mult = pts[0][1] if pts else 0
+    if mult is None:
+        mult = deg if unique else None
+    total_ok = deg == seg_degree and unique and mult == deg
+    return SegreCertificate(pts, unique, mult if mult is not None else -1, seg_degree, bool(total_ok), (nr, nc),
+                            common.nrows)
+
+
+def _certificate_or_refusal(space):
+    try:
+        return segre_tangency_certificate(space)
+    except CertificateNotApplicable as exc:
+        return str(exc)
+
+
+def _reference_or_refusal(space):
+    try:
+        return _projected_certificate(space)
+    except CertificateNotApplicable as exc:
+        return str(exc)
+
+
+def test_the_segre_certificate_equals_the_projected_path():
+    paths = {"shortcut": 0, "projected": 0, "certified": 0}
+    for space in _analysed_spaces():
+        classify(space, "coisotropic" if space.direction == CONORMAL else "isotropic")
+        got = _certificate_or_refusal(space)
+        assert got == _reference_or_refusal(space)
+        paths["projected" if _common_kernel_rows(space).nrows else "shortcut"] += 1
+        paths["certified"] += isinstance(got, SegreCertificate)
+    assert min(paths.values()) >= 5, paths
