@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from hashlib import sha256
 
 from .associated import (
@@ -363,7 +364,9 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process: parsing does not change it."""
     ap = argparse.ArgumentParser(prog="grassgeo", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, used) in COMMANDS.items():

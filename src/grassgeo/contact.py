@@ -57,19 +57,16 @@ class ContactConfig:
     direction_point: tuple  # q, a second point of the line
     line: Subspace
     adapted: AdaptedBasis  # the line's adapted basis; its rows p, q, unit completion frame the chart
-    chart_parts: dict  # degree -> graded piece of f in chart coordinates
+    chart_parts: dict  # degree -> graded piece of f in chart coordinates, for degrees below m
     flag: list  # [T_L C_k for k = 2..m], nested subspaces of P^n
     tangent_at_p: Subspace
 
 
-def _chart_parts(v: ProjVariety, frame: Matrix):
-    """Graded pieces of f in the affine chart x = p + sum y_i * frame_i."""
-    n = v.n
-    field = v.field
-    yring = PolyRing(field, tuple("y%d" % i for i in range(1, n + 1)))
+def _chart_parts(v: ProjVariety, frame: Matrix, top):
+    """Graded pieces of degree <= top of f in the affine chart x = p + sum y_i * frame_i."""
+    yring = PolyRing(v.field, tuple("y%d" % i for i in range(1, v.n + 1)))
     images = linear_combinations((yring.one(),) + yring.gens(), frame.rows)
-    chart = v.gens[0].substitute(yring, images)
-    return yring, chart.homogeneous_parts()
+    return yring, v.gens[0].substitute(yring, images, top).homogeneous_parts()
 
 
 def _gradient_at_e1(fk, k):
@@ -118,7 +115,7 @@ def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
         raise NonGeneralConfiguration("line has contact order %r, wanted %d" % (order, m))
     line = subspace_from_rows(field, n, [p, q])
     adapted = adapted_basis(line)
-    yring, parts = _chart_parts(v, adapted.full)
+    yring, parts = _chart_parts(v, adapted.full, m - 1)
     # gradient rows: grad f_1, grad f_2(e_1), ..., grad f_{m-1}(e_1)
     grad_rows = [_gradient_at_e1(parts.get(k, yring.zero()), k) for k in range(1, m)]
     directions = adapted.full.submatrix(range(1, n + 1), range(n + 1))  # chart y maps to y @ directions
@@ -168,7 +165,7 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
             continue
         # chart at p with unit completion
         frame = adapted_basis(point_subspace(field, p)).full
-        yring, parts = _chart_parts(v, frame)
+        _, parts = _chart_parts(v, frame, m - 1)
         # linear constraints: grad f_1 plus n-m seeded slices
         rows = [_gradient_at_e1(parts[1], 1)]
         slicer = s.spawn("slice")
@@ -183,9 +180,7 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
         y = _solve_direction(parts, span, m, field)
         if y is None:
             continue
-        fm = parts.get(m, yring.zero())
-        if not fm.evaluate(list(y)):
-            continue
+        # f_m(y) = 0 means contact order above m, which taylor_cone_flag rejects
         q = frame.submatrix(range(1, n + 1), range(n + 1)).apply_row(y)
         if not any(q):
             continue
@@ -203,24 +198,20 @@ def _solve_direction(parts, span, m, field):
         return tuple(span.rows[0])
     aring = PolyRing(field, tuple("a%d" % i for i in range(k)))
     images = linear_combinations(aring.gens(), span.rows)
-    gens = []
-    for deg in range(2, m):
-        g = parts.get(deg)
-        if g is None:
-            continue
-        gg = g.substitute(aring, images)
-        if gg:
-            gens.append(gg)
-    # projective solutions in P^{k-1}: try charts with the last coord 1 first
+    gens = [g.substitute(aring, images) for deg, g in parts.items() if 1 < deg < m]
+    gens = [g for g in gens if g]
+    if not gens:  # the forms vanish on the whole span, which singles out no direction: draw again
+        return None
+    # projective solutions in P^{k-1}, one search each: the chart a_j = 1 sets the coordinates
+    # after j to 0, since the charts tried before it (a_{k-1} = 1, ..., a_{j+1} = 1) held the rest
     for chart in range(k - 1, -1, -1):
-        small, sub = _affine_chart(aring, gens, chart)
-        if not sub or any(g.is_constant() for g in sub):
+        small, sub = _affine_chart(aring, gens, chart, zero=range(chart + 1, k))
+        if any(g.is_constant() for g in sub):
             continue
-        pts, _ = affine_points_zero_dim(Ideal(small, sub))
-        for cp in pts:
-            y = span.apply_row(list(cp[:chart]) + [field.one] + list(cp[chart:]))
-            if any(y):
-                return y
+        # with no equation left every point of the chart solves: take the one whose free coordinates are 0
+        pts = affine_points_zero_dim(Ideal(small, sub))[0] if sub else [(field.zero,) * chart]
+        if pts:
+            return span.apply_row(list(pts[0]) + [field.one] + [field.zero] * (k - 1 - chart))
     return None
 
 

@@ -168,15 +168,25 @@ def evaluate_pluecker(poly, subspace: Subspace):
 
 
 class AdaptedBasis:
-    """Rows of L completed by unit vectors at complement columns."""
+    """Rows of L completed by unit vectors at complement columns.
 
-    __slots__ = ("subspace", "complement_columns", "full", "full_inv")
+    The inverse of the full matrix is computed the first time it is read:
+    a basis that only frames a chart never needs it.
+    """
 
-    def __init__(self, subspace, complement_columns, full, full_inv):
+    __slots__ = ("subspace", "complement_columns", "full", "_full_inv")
+
+    def __init__(self, subspace, complement_columns, full):
         self.subspace = subspace
         self.complement_columns = complement_columns
         self.full = full
-        self.full_inv = full_inv
+        self._full_inv = None
+
+    @property
+    def full_inv(self):
+        if self._full_inv is None:
+            self._full_inv = self.full.inverse()
+        return self._full_inv
 
     @property
     def ell(self):
@@ -237,7 +247,7 @@ def adapted_basis(s: Subspace) -> AdaptedBasis:
                 r[col] = o
                 unit_rows.append(r)
             full = s.basis.stack(Matrix(field, unit_rows, n + 1))
-            return AdaptedBasis(s, comp, full, full.inverse())
+            return AdaptedBasis(s, comp, full)
     raise ValueError("no completion found (rank-deficient basis?)")
 
 

@@ -47,23 +47,22 @@ def affine_points_zero_dim(ideal: Ideal):
         return ([()] if ok else []), True
     if nv > 2:
         raise CertificateNotApplicable("point solver limited to 2 variables")
+    if nv == 1:
+        roots, split = _gcd_roots(ideal.gens)
+        return [(r,) for r in roots], split
     gb = groebner(ideal, order=LEX)
     if not gb.gens:
         raise ValueError("zero ideal is not zero-dimensional")
-    if nv == 1:
-        roots, split = univariate_roots(gb.gens[0])
-        return [(r,) for r, _ in roots], split
     # lex with u > v: the last basis element is univariate in v
     univ = [g for g in gb.gens if all(e[0] == 0 for e in g.terms)]
     if not univ:
         raise CertificateNotApplicable("unexpected lex basis shape")
     vring = PolyRing(ring.field, (ring.vars[1],), ring.order)
     gv = univ[0].map_to(vring)
-    roots, split = univariate_roots(gv)
+    roots, complete = univariate.split_roots(univariate.coeffs(gv), ring.field)
     pts = []
-    complete = split
     uring = PolyRing(ring.field, (ring.vars[0],), ring.order)
-    for r, _ in roots:
+    for r in roots:
         # substitute v = r, solve for u
         subbed = []
         for g in gb.gens:
@@ -72,25 +71,31 @@ def affine_points_zero_dim(ideal: Ideal):
                 subbed.append(img.map_to(uring))
         if not subbed:
             raise CertificateNotApplicable("fiber not finite")
-        acc = univariate.poly_gcd(subbed)
-        uroots, usplit = univariate_roots(uring.from_terms(((i,), c) for i, c in enumerate(acc)))
+        uroots, usplit = _gcd_roots(subbed)
         complete = complete and usplit
-        for u, _ in uroots:
-            pts.append((u, r))
+        pts.extend((u, r) for u in uroots)
     return pts, complete
 
 
-def _affine_chart(ring, gens, chart, zero_before=False):
-    """(chart ring, nonzero images of gens) under x_chart = 1.
+def _gcd_roots(polys):
+    """(distinct roots in the field, whether all roots are there) of the common roots of
+    polys in one variable, read from their monic gcd: the reduced lex basis of their ideal."""
+    gcd = univariate.poly_gcd(polys)
+    if not gcd:
+        raise ValueError("zero ideal is not zero-dimensional")
+    return univariate.split_roots(gcd, polys[0].ring.field)
 
-    The chart ring keeps the other variables in their order; with
-    zero_before the variables before the chart are set to 0 and dropped
-    too, which gives each projective point one representative: its first
-    nonzero coordinate is 1.
+
+def _affine_chart(ring, gens, chart, zero=()):
+    """(chart ring, nonzero images of gens) under x_chart = 1 and x_i = 0 for i in zero.
+
+    The chart ring keeps the other variables in their order.  Setting the
+    variables before the chart to 0 gives each projective point one
+    representative: its first nonzero coordinate is 1.
     """
-    keep = [v for i, v in enumerate(ring.vars) if i > chart or (i < chart and not zero_before)]
+    keep = [v for i, v in enumerate(ring.vars) if i != chart and i not in zero]
     small = PolyRing(ring.field, tuple(keep), ring.order)
-    images = [small.one() if i == chart else small.zero() if i < chart and zero_before else small.var(v)
+    images = [small.one() if i == chart else small.zero() if i in zero else small.var(v)
               for i, v in enumerate(ring.vars)]
     return small, [img for img in (g.substitute(small, images) for g in gens) if img]
 
@@ -144,7 +149,7 @@ def _solve_rank_one_locus(space: HomSpace) -> RankOneLocus:
     complete = True
     for chart in range(k):
         # canonical representatives: first nonzero coordinate = chart position
-        small, sub_gens = _affine_chart(ideal.ring, ideal.gens, chart, zero_before=True)
+        small, sub_gens = _affine_chart(ideal.ring, ideal.gens, chart, zero=range(chart))
         if any(g.is_constant() for g in sub_gens):
             continue
         if len(small.vars) > 2:

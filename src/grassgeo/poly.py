@@ -11,7 +11,8 @@ default), lex, and block (product) orders used for elimination.
 
 from __future__ import annotations
 
-from operator import le, mul, sub
+from math import inf
+from operator import add, le, sub
 
 from .errors import FieldMismatch
 
@@ -312,21 +313,36 @@ class Poly:
             acc = t if acc is None else acc + t
         return self.ring.field.zero if acc is None else acc
 
-    def substitute(self, target_ring, images):
-        """Ring map sending var i to images[i] (Poly in target_ring)."""
+    def substitute(self, target_ring, images, max_degree=None):
+        """Ring map sending var i to images[i] (Poly in target_ring over a field).
+
+        With max_degree (>= 0), only the terms of total degree <= max_degree
+        are computed: degrees add in a product, so no dropped term feeds a
+        kept one.  The work runs on the raw scalars of the field's kernel:
+        the images are unwrapped once and their powers cached, and each
+        coefficient of the result is reduced and wrapped once.
+        """
         if len(images) != self.ring.nvars:
             raise ValueError("need an image for every variable")
-        powers = [[target_ring.one()] for _ in images]  # powers[i][k] = images[i]**k
-        out = target_ring.zero()
-        for e, c in sorted(self.terms.items()):
-            t = target_ring.const(c)
-            for img, pw, k in zip(images, powers, e):
-                if k:
-                    while len(pw) <= k:
-                        pw.append(pw[-1] * img)
-                    t = t * pw[k]
-            out = out + t
-        return out
+        field = target_ring.field
+        k = field.kernel
+        top = inf if max_degree is None else max_degree
+        # powers[i][n] = images[i]**n as {exponent: raw scalar}, reduced, built as the terms ask
+        powers = [[None, {e: c for e, c in zip(img.terms, k.unwrap(img.terms.values())) if sum(e) <= top}]
+                  for img in images]
+        out = {}
+        for e, c in zip(self.terms, k.unwrap(map(field.of, self.terms.values()))):
+            t = None  # c times the powers so far; the first power is only scaled
+            for pw, n in zip(powers, e):
+                if n:
+                    while len(pw) <= n:
+                        pw.append(_reduced(_raw_product(pw[-1], pw[1], top), k))
+                    t = {x: c * v for x, v in pw[n].items()} if t is None else _raw_product(t, pw[n], top)
+            if t is None:
+                t = {(0,) * target_ring.nvars: c}
+            for x, v in t.items():
+                out[x] = out.get(x, 0) + v
+        return _from_raw(target_ring, out)
 
     def map_to(self, target_ring):
         """Inclusion/renaming by variable name into target_ring."""
@@ -407,10 +423,48 @@ class Ideal:
         return "Ideal(%d gens in %r)" % (len(self.gens), self.ring)
 
 
+def _raw_product(f, g, top):
+    """The product of two {exponent: raw scalar} dicts without its terms of degree above top, unreduced."""
+    out = {}
+    get = out.get
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            if sum(e) <= top:
+                out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _reduced(d, k):
+    """The nonzero terms of an unreduced {exponent: raw scalar} dict, reduced, still raw."""
+    return {e: c for e, c in zip(d, k.reduce_all(list(d.values()))) if c}
+
+
+def _from_raw(ring, d):
+    """The Poly in ring whose terms an unreduced {exponent: raw scalar} dict over its field's kernel holds."""
+    k = ring.field.kernel
+    d = _reduced(d, k)
+    return Poly(ring, dict(zip(d, k.wrap(list(d.values())))))
+
+
 def linear_combinations(polys, rows):
-    """[sum_i polys[i] * rows[i][j] for each column j]; polys must not be empty."""
-    zero = polys[0].ring.zero()
-    return [sum(map(mul, polys, col), zero) for col in zip(*rows)]
+    """[sum_i polys[i] * rows[i][j] for each column j]; polys must not be empty.
+
+    Runs on the field's kernel, like `Poly.substitute`.
+    """
+    ring = polys[0].ring
+    field = ring.field
+    k = field.kernel
+    raw = [list(zip(g.terms, k.unwrap(g.terms.values()))) for g in polys]
+    out = []
+    for col in zip(*rows):
+        acc = {}
+        for terms, c in zip(raw, k.unwrap(map(field.of, col))):
+            if c:
+                for e, v in terms:
+                    acc[e] = acc.get(e, 0) + c * v
+        out.append(_from_raw(ring, acc))
+    return out
 
 
 def normalized_generators(polys):

@@ -143,16 +143,21 @@ def root_multiplicities(f, field):
     k = field.kernel
     work = _unwrap(field, f)
     found = _roots(work, k)
-    mults = []
-    for r in found:
-        mult = 0
-        while True:
-            q, rem = _quo_rem(work, [k.reduce(-r), k.one], k)
-            if rem:
-                break
-            work, mult = q, mult + 1
-        mults.append(mult)
-    return list(zip(k.wrap(found), mults)), k.wrap(work)
+    mults, cofactor = _divide_out(work, found, k)
+    return list(zip(k.wrap(found), mults)), k.wrap(cofactor)
+
+
+def split_roots(f, field):
+    """(distinct roots in the order of `roots`, whether f is a product of linear factors) for nonzero f.
+
+    Multiplicities are counted only when f has fewer distinct roots than
+    its degree.
+    """
+    k = field.kernel
+    work = _unwrap(field, f)
+    found = _roots(work, k)
+    split = len(found) == len(work) - 1 or len(_divide_out(work, found, k)[1]) == 1
+    return k.wrap(found), split
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,20 @@ def _quo_rem(f, g, k):
     return _trim(q), _trim(k.reduce_all(r[:dg]))
 
 
+def _divide_out(f, found, k):
+    """(multiplicity of each root in found, f divided by (t - r)^multiplicity for each)."""
+    mults = []
+    for r in found:
+        mult = 0
+        while True:
+            q, rem = _quo_rem(f, [k.reduce(-r), k.one], k)
+            if rem:
+                break
+            f, mult = q, mult + 1
+        mults.append(mult)
+    return mults, f
+
+
 def _gcd(f, g, k):
     while g:
         f, g = g, _quo_rem(f, g, k)[1]
@@ -196,14 +215,16 @@ def _monic(f, k):
     return k.reduce_all([c * inv for c in f])
 
 
-def _powmod(base, e, m, k):
-    """base^e mod m by square-and-multiply."""
-    base = _quo_rem(base, m, k)[1]
+def _powmod(a, e, m, k):
+    """(t + a)^e mod a monic m by square-and-multiply; a step by t + a is a shift plus a times."""
     out = [k.one]
     for bit in bin(e)[2:]:
         out = _quo_rem(_mul(out, out, k), m, k)[1]
         if bit == "1":
-            out = _quo_rem(_mul(out, base, k), m, k)[1]
+            step = [k.zero] + out
+            for i, c in enumerate(out):
+                step[i] += a * c
+            out = _quo_rem(step, m, k)[1]
     return out
 
 
@@ -219,7 +240,7 @@ def _roots(f, k):
         return found + _rational_roots(f)
     f = _monic(f, k)  # so that no division by f inverts its lead
     # gcd(f, t^p - t) is the product of the distinct linear factors of f
-    h = _powmod([0, 1], k.p, f, k) + [0, 0]
+    h = _powmod(0, k.p, f, k) + [0, 0]
     h[1] = k.reduce(h[1] - 1)
     return found + sorted(_split(_gcd(f, _trim(h), k), k))
 
@@ -234,7 +255,7 @@ def _split(g, k, a=0):
     # p is odd here: over F_2 the factor t has been removed, so g divides t - 1
     e = (k.p - 1) // 2
     while True:
-        h = _powmod([a, 1], e, g, k) + [0]
+        h = _powmod(a, e, g, k) + [0]
         h[0] = k.reduce(h[0] - 1)
         d = _gcd(g, _trim(h), k)
         a += 1

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import grassgeo.cli
 from grassgeo.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def _run(capsys, argv):
     code = main(argv)
@@ -186,3 +191,22 @@ def test_chow_and_hurwitz_share_one_handler_at_their_two_levels(capsys):
         levels[command] = rep["results"]["level"]
     assert levels == {"chow": 1, "hurwitz": 2}
     assert grassgeo.cli.COMMANDS["chow"][0] is grassgeo.cli.COMMANDS["hurwitz"][0]
+
+
+def test_one_parser_serves_every_report_of_a_process(capsys):
+    argvs = [
+        ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3", "--n", "3", "--m", "3", "--samples", "2", "--seed", "4"],
+        ["sample-associated", "--variety", "twisted-cubic", "--ell", "1", "--samples", "2"],
+        ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2", "--n", "3", "--m", "2", "--samples", "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "grassgeo.cli"] + argv, env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert main(argv) == fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--variety", "twisted-cubic"] if argv[0] == "contact" else argv + ["--f", "x0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert grassgeo.cli.build_parser() is grassgeo.cli.build_parser()

@@ -2,9 +2,9 @@
 
 An osculating sample keeps its derivative rows, a contact line its
 adapted basis and the tangent space at its point, and a Hom space its
-2x2-minor ideal and rank-one locus.  The counts below pin that down;
-the oracles check that what is kept equals what a fresh computation
-gives.
+2x2-minor ideal and rank-one locus; a contact report solves each
+direction once.  The counts below pin that down; the oracles check that
+what is kept equals what a fresh computation gives.
 """
 
 import json
@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from grassgeo import contact, grassmann, isoclass
+from grassgeo import contact, grassmann, isoclass, univariate
 from grassgeo.associated import associated_conormal, sample_associated, transported_dual_sample
 from grassgeo.cli import main
 from grassgeo.contact import (
@@ -132,6 +132,45 @@ def test_the_dual_side_evaluates_one_jacobian(monkeypatch):
         assert associated_conormal(s, v, dual=dual).dim
         assert calls == [dual]
         monkeypatch.undo()
+
+
+# -- contact sampling does only the algebra it reads -------------------------------------------------
+
+# one report of the contact-roots benchmark workload
+CONTACT_REPORT = ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3 + 13041*x0*x1*x2", "--n", "3", "--m", "3",
+                  "--field", "fp:32003", "--samples", "10", "--seed", "130362"]
+
+
+def test_a_contact_report_solves_each_direction_once_without_groebner(monkeypatch, capsys):
+    directions = _counter(monkeypatch, contact, "_solve_direction")
+    point_solves = _counter(monkeypatch, contact, "affine_points_zero_dim")
+    lex_bases = _counter(monkeypatch, isoclass, "groebner")
+    inverses = _counter(monkeypatch, Matrix, "inverse")
+    powers = _counter(monkeypatch, univariate, "_powmod")
+    assert main(CONTACT_REPORT) == 0
+    capsys.readouterr()
+    # before: 38 point solves for the 24 directions, 48 lex bases, 34 inverses and 99 powers
+    assert len(directions) == len(point_solves) == 24
+    assert not lex_bases  # every point set solved here has one variable: a gcd, not Buchberger
+    assert len(inverses) == 10  # one per accepted line; the frames of the sampled points need none
+    assert len(powers) == 85
+
+
+def test_the_lazy_adapted_inverse_is_the_inverse():
+    rng = random.Random("derive-once/inverse")
+    checked = 0
+    for field in (QQ, F):
+        for n in (2, 3, 4):
+            for ell in range(n):
+                rows = [[rng.randrange(-3, 4) for _ in range(n + 1)] for _ in range(ell + 1)]
+                if Matrix(field, rows).rank() <= ell:
+                    continue
+                a = adapted_basis(subspace_from_rows(field, n, rows))
+                assert a._full_inv is None
+                assert a.full_inv == a.full.inverse()
+                assert a.full_inv is a.full_inv
+                checked += 1
+    assert checked >= 15
 
 
 # -- the rank-one analysis a space keeps -------------------------------------------------------------
