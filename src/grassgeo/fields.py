@@ -419,25 +419,11 @@ class RationalField:
             raise FieldMismatch("cannot coerce F_%d element into Q" % x.p)
         raise FieldMismatch("cannot coerce %r into Q" % (x,))
 
-    def contains(self, x) -> bool:
-        return isinstance(x, (Fraction, int))
-
     def random(self, rng, height=20):
         """Small-height rational, deterministic in rng."""
         num = rng.randrange(-height, height + 1)
         den = rng.randrange(1, height + 1)
         return Fraction(num, den)
-
-    def sqrt(self, x):
-        """Exact square root of a nonnegative rational, or None."""
-        if x < 0:
-            return None
-        from math import isqrt
-
-        rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-        if rn * rn == x.numerator and rd * rd == x.denominator:
-            return Fraction(rn, rd)
-        return None
 
     def format(self, x) -> str:
         return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else "%d" % x.numerator
@@ -485,14 +471,8 @@ class PrimeField:
             return Fp(x.numerator * pow(den, -1, self.p), self.p)
         raise FieldMismatch("cannot coerce %r into F_%d" % (x, self.p))
 
-    def contains(self, x) -> bool:
-        return isinstance(x, Fp) and x.p == self.p
-
     def random(self, rng, height=None):
         return Fp(rng.randrange(self.p), self.p)
-
-    def sqrt(self, x):
-        return x.sqrt()
 
     def format(self, x) -> str:
         return "%d" % x.v

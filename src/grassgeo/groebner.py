@@ -10,6 +10,13 @@ pending pairs to drop.  No F4/F5: the intended inputs are desk-scale
 (few variables, low degree).  Everything is deterministic: pair
 selection and tie-breaking use the ring's monomial order only.
 
+The basis keeps two invariants.  Every element is monic, so an
+S-polynomial needs no inverse.  Every element is fully reduced by the
+earlier ones before it is added, so no added lead is divisible by an
+earlier lead.  Hence interreduction takes one pass: it drops each
+element whose lead another lead divides and reduces each survivor once
+by the other survivors.
+
 A budget bounds the work of each call, counted in term operations: each
 reduction step costs the number of terms of the basis element it
 subtracts, and each S-pair taken from the heap costs one.  Running out
@@ -99,13 +106,11 @@ def _reduce_full(p: Poly, basis, budget: _Budget) -> Poly:
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
+    """x^(l - lead f)*f - x^(l - lead g)*g for l = lcm(lead f, lead g); f and g are monic."""
     ring = f.ring
-    ef, cf = f.lead()
-    eg, cg = g.lead()
+    ef, eg = f.lead()[0], g.lead()[0]
     l = monomial_lcm(ef, eg)
-    mf = ring.monomial(monomial_sub(l, ef), ring.field.one / cf)
-    mg = ring.monomial(monomial_sub(l, eg), ring.field.one / cg)
-    return mf * f - mg * g
+    return ring.monomial(monomial_sub(l, ef)) * f - ring.monomial(monomial_sub(l, eg)) * g
 
 
 def _coprime(a, b):
@@ -188,25 +193,17 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
 
 
 def _autoreduce(basis, bud):
-    """Interreduce to the unique reduced basis; sort by (degree, order)."""
-    ring = basis[0].ring if basis else None
-    changed = True
-    basis = list(basis)
-    while changed:
-        changed = False
-        out = []
-        for i, g in enumerate(basis):
-            others = out + basis[i + 1 :]
-            r = _reduce_full(g, others, bud)
-            if r:
-                r = r.monic()
-                out.append(r)
-            if r != g:
-                changed = True
-        basis = out
-    key = ring.order.key if ring else None
-    basis.sort(key=lambda g: (sum(g.lead()[0]), key(g.lead()[0])))
-    return basis
+    """The reduced basis from `buchberger`'s basis in one pass, sorted by (degree, order).
+
+    No other lead divides a survivor's lead, so reducing a survivor once
+    by the others keeps its lead and leaves a standard tail.
+    """
+    leads = [g.lead()[0] for g in basis]
+    keep = [g for g, e in zip(basis, leads) if not any(d != e and monomial_divides(d, e) for d in leads)]
+    out = [_reduce_full(g, keep[:i] + keep[i + 1 :], bud) for i, g in enumerate(keep)]
+    key = basis[0].ring.order.key
+    out.sort(key=lambda g: (sum(g.lead()[0]), key(g.lead()[0])))
+    return out
 
 
 def groebner(ideal: Ideal, order=None) -> Ideal:
@@ -225,12 +222,9 @@ def groebner(ideal: Ideal, order=None) -> Ideal:
 
 def normal_form(p: Poly, ideal: Ideal) -> Poly:
     """Remainder of p modulo the ideal's Groebner basis; 0 iff p is a member."""
-    gb = groebner(ideal, order=ideal.ring.order)
-    q = p if p.ring == gb.ring else Poly(gb.ring, dict(p.terms))
-    if q.ring != gb.ring:
+    if p.ring != ideal.ring:
         raise FieldMismatch("polynomial not in the ideal's ring")
-    r = _reduce_full(q, list(gb.gens), _Budget(DEFAULT_BUDGET))
-    return r if p.ring == r.ring else Poly(p.ring, dict(r.terms))
+    return _reduce_full(p, list(groebner(ideal).gens), _Budget(DEFAULT_BUDGET))
 
 
 def eliminate(ideal: Ideal, keep_vars) -> Ideal:

@@ -183,9 +183,6 @@ class JetRing:
             slope = self.base.one
         return Jet(self.base.of(value), self.base.of(slope))
 
-    def contains(self, x) -> bool:
-        return isinstance(x, Jet)
-
     def __repr__(self):
         return "Jet(%r)" % self.base
 

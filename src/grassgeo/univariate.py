@@ -60,6 +60,7 @@ def coeffs(poly):
     return out
 
 
+# stays apart from Poly.substitute and Poly.evaluate: merging measured slower (ROADMAP item 4)
 def restrict(poly, a, b):
     """Coefficients of t |-> poly(a + t*b) for points a, b of the ring's field."""
     field = poly.ring.field

@@ -259,6 +259,15 @@ def test_normal_form_membership():
         assert normal_form((x * z - y**2) * q + r, i) == normal_form(r, i)
 
 
+def test_normal_form_rejects_a_polynomial_of_another_ring():
+    a, b = _ring("a", "b").gens()
+    x, y = _ring("x", "y").gens()
+    with pytest.raises(FieldMismatch):
+        normal_form(a**2 - b, Ideal(x.ring, [x - y]))
+    with pytest.raises(FieldMismatch):
+        normal_form(x**2 - y, Ideal(x.ring.with_order(LEX), [x.ring.with_order(LEX).var(0)]))
+
+
 def _twisted_cubic_ideal(field=QQ):
     R = PolyRing(field, ("x0", "x1", "x2", "x3"))
     x0, x1, x2, x3 = R.gens()

@@ -1,0 +1,146 @@
+"""The invariants `buchberger` keeps, and the steps that rely on them.
+
+Every basis element is monic, and no lead of the unreduced basis divides
+a later lead.  So `_spoly` needs no inverse and `_autoreduce` needs one
+pass; both are compared here with the general formulas they replace.
+"""
+
+import random
+
+import pytest
+
+from grassgeo import associated, groebner
+from grassgeo.fields import GF, QQ
+from grassgeo.groebner import _Budget, _autoreduce, _reduce_full, _spoly, buchberger
+from grassgeo.poly import DEGREVLEX, LEX, BlockOrder, PolyRing, monomial_divides, monomial_lcm, monomial_sub
+from grassgeo.varieties import twisted_cubic
+
+FIELDS = {"q": QQ, "gf2": GF(2), "gf3": GF(3), "gf32003": GF(32003)}
+ORDERS = {"lex": LEX, "degrevlex": DEGREVLEX, "block": BlockOrder(2)}
+SEEDS = range(8)
+
+
+def _fixpoint_autoreduce(basis, bud):
+    """Interreduction for any finite basis: whole passes until none changes an element."""
+    ring = basis[0].ring if basis else None
+    changed = True
+    basis = list(basis)
+    while changed:
+        changed = False
+        out = []
+        for i, g in enumerate(basis):
+            others = out + basis[i + 1 :]
+            r = _reduce_full(g, others, bud)
+            if r:
+                r = r.monic()
+                out.append(r)
+            if r != g:
+                changed = True
+        basis = out
+    key = ring.order.key if ring else None
+    basis.sort(key=lambda g: (sum(g.lead()[0]), key(g.lead()[0])))
+    return basis
+
+
+def _general_spoly(f, g):
+    """The S-polynomial of any two nonzero polynomials."""
+    ring = f.ring
+    ef, cf = f.lead()
+    eg, cg = g.lead()
+    l = monomial_lcm(ef, eg)
+    mf = ring.monomial(monomial_sub(l, ef), ring.field.one / cf)
+    mg = ring.monomial(monomial_sub(l, eg), ring.field.one / cg)
+    return mf * f - mg * g
+
+
+def _seeded_gens(ring, seed):
+    rng = random.Random("groebner-invariants/%d" % seed)
+    gens = []
+    for _ in range(rng.randint(3, 4)):
+        terms = []
+        for _ in range(rng.randint(2, 4)):
+            e = [0] * ring.nvars
+            for _ in range(rng.randint(0, 3)):
+                e[rng.randrange(ring.nvars)] += 1
+            terms.append((e, rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])))
+        gens.append(ring.from_terms(terms))
+    return gens
+
+
+def _captured_bases(field, order, monkeypatch):
+    """The bases `buchberger` hands to `_autoreduce` on the seeded ideals."""
+    captured = []
+
+    def capture(basis, bud):
+        captured.append(list(basis))
+        return _autoreduce(basis, bud)
+
+    monkeypatch.setattr(groebner, "_autoreduce", capture)
+    ring = PolyRing(field, ("w", "x", "y", "z"), order)
+    for seed in SEEDS:
+        buchberger(_seeded_gens(ring, seed))
+    return captured
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_one_pass_matches_fixpoint_interreduction(field_name, order_name, monkeypatch):
+    bases = _captured_bases(FIELDS[field_name], ORDERS[order_name], monkeypatch)
+    redundant = 0
+    for basis in bases:
+        leads = [g.lead()[0] for g in basis]
+        assert all(g.lead()[1] == g.ring.field.one for g in basis)
+        assert not any(monomial_divides(a, b) for i, a in enumerate(leads) for b in leads[i + 1 :])
+        redundant += any(a != b and monomial_divides(a, b) for a in leads for b in leads)
+        expected = _fixpoint_autoreduce(basis, _Budget(10**9))
+        assert _autoreduce(basis, _Budget(10**9)) == expected
+    assert redundant
+
+
+def test_interreduction_reduces_each_survivor_once(monkeypatch):
+    budgets, reductions = [], []
+    in_autoreduce = [False]
+
+    class RecordedBudget(_Budget):
+        def __init__(self, n):
+            super().__init__(n)
+            budgets.append(self)
+
+    def counted_reduce(p, basis, bud):
+        if in_autoreduce[0]:
+            reductions[-1] += 1
+        return _reduce_full(p, basis, bud)
+
+    def counted_autoreduce(basis, bud):
+        reductions.append(0)
+        in_autoreduce[0] = True
+        try:
+            out = _autoreduce(basis, bud)
+        finally:
+            in_autoreduce[0] = False
+        assert reductions[-1] == len(out)
+        return out
+
+    monkeypatch.setattr(groebner, "_Budget", RecordedBudget)
+    monkeypatch.setattr(groebner, "_reduce_full", counted_reduce)
+    monkeypatch.setattr(groebner, "_autoreduce", counted_autoreduce)
+    associated.chow_hurwitz_ideal(twisted_cubic(QQ), 1)
+    assert sum(reductions) == 17
+    assert sum(b.limit - b.left for b in budgets) == 1414
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_spoly_of_monic_elements_divides_nothing(field_name, count_fp_operators):
+    field = FIELDS[field_name]
+    ring = PolyRing(field, ("w", "x", "y", "z"), DEGREVLEX)
+    pairs = []
+    for seed in SEEDS:
+        gens = [g.monic() for g in _seeded_gens(ring, seed) if g]
+        pairs += [(f, g) for f in gens for g in gens if f is not g]
+    expected = [_general_spoly(f, g) for f, g in pairs]
+    calls = count_fp_operators()
+    got = [_spoly(f, g) for f, g in pairs]
+    assert "__truediv__" not in calls and "__rtruediv__" not in calls
+    assert got == expected
+    if field.kind == "fp":
+        assert calls
