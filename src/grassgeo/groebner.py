@@ -17,6 +17,30 @@ earlier lead.  Hence interreduction takes one pass: it drops each
 element whose lead another lead divides and reduces each survivor once
 by the other survivors.
 
+`buchberger` packs its input once and unpacks its result once (Monagan
+& Pearce 2007, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors").  In between, a monomial is two Python ints,
+each linear in its exponent vector e, so a shift by a monomial is two
+int additions:
+
+* E holds e_i in bits [i*S, i*S + B) with S = B + 1; the bit above each
+  slot is its guard bit, and G is the mask of all guard bits.  a
+  divides b iff ((b | G) - a) & G == G: no slot borrows, and a slot
+  keeps its guard bit iff a_i <= b_i.  The same subtraction selects the
+  slots of the lcm, and a and b have disjoint supports iff their lcm is
+  a + b.  As an int, E grows with divisibility.
+* K is the order's linear weight sum_i e_i w_i (`order.weights`), which
+  compares exactly as `order.key` does while every exponent is below
+  W = 2^B.  Term heaps hold -K, and the pair heap holds (K(lcm), i, j).
+
+An exponent that reaches 2^B would carry into a guard bit and make K
+ambiguous.  So packing checks every exponent, and every shift of an
+element is checked against the element's slotwise largest exponents
+before any shifted term is made; a term at the limit raises
+`Unsupported`, naming the limit.  Coefficients are the raw scalars of
+the field's kernel (ints mod p, Fractions), and a reduction leaves the
+sums unreduced until their term is popped.
+
 A budget bounds the work of each call, counted in term operations: each
 reduction step costs the number of terms of the basis element it
 subtracts, and each S-pair taken from the heap costs one.  Running out
@@ -25,25 +49,22 @@ raises `BudgetExceeded` with the amount spent and the limit.
 
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import add
+from itertools import islice
+from operator import mul
 
-from .errors import BudgetExceeded, FieldMismatch
-from .poly import (
-    BlockOrder,
-    Ideal,
-    Poly,
-    PolyRing,
-    monomial_divides,
-    monomial_lcm,
-    monomial_sub,
-)
+from .errors import BudgetExceeded, FieldMismatch, Unsupported
+from .poly import BlockOrder, Ideal, Poly, PolyRing
 
 # Term operations per call.  The largest call of the test suite and of
 # the benchmark workloads spends under 2 000, and the known runaway bases
 # (the Chow levels of the rational normal quartic and of the Segre 2x4)
 # exhaust this in a few seconds.
 DEFAULT_BUDGET = 200_000
+
+# Bits of an exponent slot: exponents up to 2^40 - 1
+SLOT_BITS = 40
 
 
 class _Budget:
@@ -62,66 +83,160 @@ class _Budget:
             )
 
 
-def _reduce_full(p: Poly, basis, budget: _Budget) -> Poly:
+def _overflow():
+    return Unsupported("Groebner exponents are limited to 2^%d - 1" % SLOT_BITS)
+
+
+class _Packing:
+    """Packed monomials of one ring: the slots of E, the guard mask G and the weights of K."""
+
+    __slots__ = ("ring", "kernel", "shifts", "guard", "weights")
+
+    def __init__(self, ring):
+        n = ring.nvars
+        self.ring = ring
+        self.kernel = ring.field.kernel
+        self.shifts = [i * (SLOT_BITS + 1) for i in range(n)]
+        self.guard = sum(1 << (s + SLOT_BITS) for s in self.shifts)
+        self.weights = ring.order.weights(n, 1 << SLOT_BITS)
+
+    def divides(self, a, b):
+        g = self.guard
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a, b):
+        g = self.guard
+        sel = ((a | g) - b) & g  # the guard bits of the slots where a_i >= b_i
+        m = sel - (sel >> SLOT_BITS)
+        return (a & m) | (b & ~m)
+
+    def exponents(self, e):
+        m = (1 << SLOT_BITS) - 1
+        return tuple((e >> s) & m for s in self.shifts)
+
+    def key(self, e):
+        return sum(map(mul, self.exponents(e), self.weights))
+
+    def degree(self, e):
+        return sum(self.exponents(e))
+
+    def pack(self, p: Poly) -> _Packed:
+        terms = []
+        for e, c in zip(p.terms, self.kernel.unwrap(p.terms.values())):
+            if max(e, default=0) >> SLOT_BITS:
+                raise _overflow()
+            packed = sum(x << s for x, s in zip(e, self.shifts))
+            terms.append((sum(map(mul, e, self.weights)), packed, c))
+        terms.sort(reverse=True)
+        return _Packed(self, terms)
+
+    def unpack(self, p: _Packed) -> Poly:
+        cs = self.kernel.wrap([c for _, _, c in p.terms])
+        return Poly(self.ring, dict(zip([self.exponents(e) for _, e, _ in p.terms], cs)))
+
+
+class _Packed:
+    """A polynomial on packed monomials: terms (K, E, c), K descending, c raw and nonzero."""
+
+    __slots__ = ("packing", "terms", "_top")
+
+    def __init__(self, packing, terms):
+        self.packing = packing
+        self.terms = terms
+        self._top = None
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    @property
+    def top(self):
+        """E of the slotwise largest exponents of the terms: a shift of every term is checked at once."""
+        if self._top is None:
+            self._top = reduce(self.packing.lcm, [e for _, e, _ in self.terms], 0)
+        return self._top
+
+    def monic(self):
+        k = self.packing.kernel
+        cs = k.scale([c for _, _, c in self.terms], k.inv(self.terms[0][2]))
+        return _Packed(self.packing, [(t, e, c) for (t, e, _), c in zip(self.terms, cs)])
+
+
+def _reduce_full(p: _Packed, basis, budget: _Budget) -> _Packed:
     """Full normal form of p modulo the (monic) basis.
 
-    Terms wait in a heap of `desc_key`s, so the largest is popped next.
-    A term that cancels stays in the heap and is skipped when popped; one
-    that comes back is pushed again, and its older entry finds nothing.
+    Terms wait in a heap of -K, so the largest is popped next.  A reduction
+    step only makes terms below the one it removes, so each monomial is
+    pushed once and popped once; its coefficient is reduced when popped,
+    and one that has cancelled is skipped.
     """
-    dkey = p.ring.order.desc_key
-    work = dict(p.terms)
-    heap = [(dkey(e), e) for e in work]
+    pk = p.packing
+    guard = pk.guard
+    norm = pk.kernel.reduce
+    work = {t: c for t, _, c in p.terms}
+    mono = {t: e for t, e, _ in p.terms}
+    heap = [-t for t in work]
     heapify(heap)
-    rem = {}
-    leads = [(g.lead()[0], g) for g in basis]
+    rem = []
+    leads = [(g.terms[0][1], g) for g in basis]
     while heap:
-        e = heappop(heap)[1]
-        c = work.pop(e, None)
-        if c is None:
+        t = -heappop(heap)
+        c = norm(work.pop(t))
+        if not c:
             continue
+        e = mono.pop(t)
+        eg = e | guard
         for le, g in leads:
-            if monomial_divides(le, e):
+            if (eg - le) & guard == guard:
                 break
         else:
-            rem[e] = c
+            rem.append((t, e, c))
             continue
         budget.spend(len(g.terms))
-        shift = monomial_sub(e, le)
-        for ge, gc in g.terms.items():
-            if ge == le:
-                continue
-            te = tuple(map(add, ge, shift))
-            s = work.get(te)
+        de = e - le
+        if (g.top + de) & guard:
+            raise _overflow()
+        dt = t - g.terms[0][0]
+        c = -c
+        for gt, ge, gc in islice(g.terms, 1, None):
+            tt = gt + dt
+            s = work.get(tt)
             if s is None:
-                work[te] = -(c * gc)
-                heappush(heap, (dkey(te), te))
+                work[tt] = c * gc
+                mono[tt] = ge + de
+                heappush(heap, -tt)
             else:
-                s = s - c * gc
-                if s:
-                    work[te] = s
-                else:
-                    del work[te]
-    return Poly(p.ring, rem)
+                work[tt] = s + c * gc
+    return _Packed(pk, rem)
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    """x^(l - lead f)*f - x^(l - lead g)*g for l = lcm(lead f, lead g); f and g are monic."""
-    ring = f.ring
-    ef, eg = f.lead()[0], g.lead()[0]
-    l = monomial_lcm(ef, eg)
-    return ring.monomial(monomial_sub(l, ef)) * f - ring.monomial(monomial_sub(l, eg)) * g
+def _spoly(f: _Packed, g: _Packed) -> _Packed:
+    """x^(l - lead f)*f - x^(l - lead g)*g for l = lcm(lead f, lead g); f and g are monic.
+
+    Both leads cancel, so this is the shifted tail of f minus the shifted tail of g.
+    """
+    pk = f.packing
+    (tf, ef, _), (tg, eg, _) = f.terms[0], g.terms[0]
+    l = pk.lcm(ef, eg)
+    sf, sg = l - ef, l - eg
+    if (f.top + sf) & pk.guard or (g.top + sg) & pk.guard:
+        raise _overflow()
+    tl = pk.key(l)
+    dtf, dtg = tl - tf, tl - tg
+    d = {t + dtf: (e + sf, c) for t, e, c in islice(f.terms, 1, None)}
+    for t, e, c in islice(g.terms, 1, None):
+        t += dtg
+        e0, c0 = d.get(t, (e + sg, 0))
+        d[t] = (e0, c0 - c)
+    ts = sorted(d, reverse=True)
+    cs = pk.kernel.reduce_all([d[t][1] for t in ts])
+    return _Packed(pk, [(t, d[t][0], c) for t, c in zip(ts, cs) if c])
 
 
-def _coprime(a, b):
-    return not any(x and y for x, y in zip(a, b))
-
-
-def _update(leads, live, heap, key):
+def _update(leads, live, heap, pk):
     """Gebauer-Moeller update after appending a basis element with lead leads[-1].
 
     `live` maps each pending pair (i, j) to its lcm; `heap` orders the
-    pairs by key(lcm) + (i, j).  Old pairs that the new lead makes
+    pairs by (K(lcm), i, j).  Old pairs that the new lead makes
     redundant (criterion B) leave `live` and are skipped when popped.
     Of the new pairs, those whose lcm is a proper multiple of another new
     pair's lcm go (M), a class of equal lcms goes whole when one of its
@@ -130,27 +245,25 @@ def _update(leads, live, heap, key):
     """
     new = len(leads) - 1
     h = leads[new]
+    lcm, guard = pk.lcm, pk.guard
     for (i, j), l in list(live.items()):
-        if (
-            monomial_divides(h, l)
-            and monomial_lcm(leads[i], h) != l
-            and monomial_lcm(leads[j], h) != l
-        ):
+        if ((l | guard) - h) & guard == guard and lcm(leads[i], h) != l and lcm(leads[j], h) != l:
             del live[i, j]
     classes = {}
     for k in range(new):
-        classes.setdefault(monomial_lcm(leads[k], h), []).append(k)
-    # a proper divisor has a lower degree, and divisibility is transitive,
+        classes.setdefault(lcm(leads[k], h), []).append(k)
+    # a proper divisor is a smaller int, and divisibility is transitive,
     # so M only needs the lcms already found minimal
     minimal = []
-    for l in sorted(classes, key=sum):
-        if any(monomial_divides(m, l) for m in minimal):
+    for l in sorted(classes):
+        lg = l | guard
+        if any((lg - m) & guard == guard for m in minimal):
             continue
         minimal.append(l)
         ks = classes[l]
-        if not any(_coprime(leads[k], h) for k in ks):
+        if not any(leads[k] + h == l for k in ks):  # coprime leads: the lcm is the product
             live[ks[0], new] = l
-            heappush(heap, key(l) + (ks[0], new))
+            heappush(heap, (pk.key(l), ks[0], new))
 
 
 def buchberger(gens, budget=DEFAULT_BUDGET):
@@ -167,29 +280,29 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
         if g.ring != ring:
             raise FieldMismatch("mixed rings in Groebner input")
     bud = _Budget(budget)
-    key = ring.order.key
+    pk = _Packing(ring)
 
     basis, leads, live, heap = [], [], {}, []
 
     def insert(r):
         r = r.monic()
         basis.append(r)
-        leads.append(r.lead()[0])
-        _update(leads, live, heap, key)
+        leads.append(r.terms[0][1])
+        _update(leads, live, heap, pk)
 
-    for g in sorted(gens, key=lambda q: key(q.lead()[0])):
+    for g in sorted(map(pk.pack, gens), key=lambda q: q.terms[0][0]):
         r = _reduce_full(g, basis, bud)
         if r:
             insert(r)
     while heap:
         bud.spend()
-        i, j = heappop(heap)[-2:]
+        i, j = heappop(heap)[1:]
         if live.pop((i, j), None) is None:
             continue
         r = _reduce_full(_spoly(basis[i], basis[j]), basis, bud)
         if r:
             insert(r)
-    return _autoreduce(basis, bud)
+    return [pk.unpack(g) for g in _autoreduce(basis, bud)]
 
 
 def _autoreduce(basis, bud):
@@ -198,11 +311,11 @@ def _autoreduce(basis, bud):
     No other lead divides a survivor's lead, so reducing a survivor once
     by the others keeps its lead and leaves a standard tail.
     """
-    leads = [g.lead()[0] for g in basis]
-    keep = [g for g, e in zip(basis, leads) if not any(d != e and monomial_divides(d, e) for d in leads)]
+    pk = basis[0].packing
+    leads = [g.terms[0][1] for g in basis]
+    keep = [g for g, e in zip(basis, leads) if not any(d != e and pk.divides(d, e) for d in leads)]
     out = [_reduce_full(g, keep[:i] + keep[i + 1 :], bud) for i, g in enumerate(keep)]
-    key = basis[0].ring.order.key
-    out.sort(key=lambda g: (sum(g.lead()[0]), key(g.lead()[0])))
+    out.sort(key=lambda g: (pk.degree(g.terms[0][1]), g.terms[0][0]))
     return out
 
 
@@ -224,7 +337,9 @@ def normal_form(p: Poly, ideal: Ideal) -> Poly:
     """Remainder of p modulo the ideal's Groebner basis; 0 iff p is a member."""
     if p.ring != ideal.ring:
         raise FieldMismatch("polynomial not in the ideal's ring")
-    return _reduce_full(p, list(groebner(ideal).gens), _Budget(DEFAULT_BUDGET))
+    pk = _Packing(p.ring)
+    basis = [pk.pack(g) for g in groebner(ideal).gens]
+    return pk.unpack(_reduce_full(pk.pack(p), basis, _Budget(DEFAULT_BUDGET)))
 
 
 def eliminate(ideal: Ideal, keep_vars) -> Ideal:

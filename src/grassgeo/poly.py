@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over an exact field.
 
 A ring fixes the variable names, the coefficient field and a monomial
-order.  Each order has two sort keys: `key` ascends with the order and
-`desc_key` descends with it (the smallest `desc_key` is the largest
-monomial), so that a `heapq` of `desc_key`s pops leading terms first.
+order.  Each order has a sort key `key`, which ascends with the order,
+and `weights(n, w)`: integer weights of a linear form sum_i e_i w_i that
+compares exactly as `key` does while every exponent is below w (the
+packed monomials of `groebner`).
 Polynomials are immutable dicts {exponent tuple: coefficient}
 with no zero coefficients stored.  Orders provided: degrevlex (the
 default), lex, and block (product) orders used for elimination.
@@ -12,7 +13,7 @@ default), lex, and block (product) orders used for elimination.
 from __future__ import annotations
 
 from math import inf
-from operator import add, le, sub
+from operator import add, le
 
 from .errors import FieldMismatch
 
@@ -25,8 +26,9 @@ class DegRevLex:
         return (sum(e), tuple(-x for x in reversed(e)))
 
     @staticmethod
-    def desc_key(e):
-        return (-sum(e), e[::-1])
+    def weights(n, w):
+        # the degree weighs w^n, above every sum_i e_i w^i, which breaks ties reversed
+        return [w**n - w**i for i in range(n)]
 
     def __repr__(self):
         return self.name
@@ -46,8 +48,8 @@ class Lex:
         return e
 
     @staticmethod
-    def desc_key(e):
-        return tuple(-x for x in e)
+    def weights(n, w):
+        return [w ** (n - 1 - i) for i in range(n)]
 
     def __repr__(self):
         return self.name
@@ -76,9 +78,11 @@ class BlockOrder:
         a, b = e[: self.split], e[self.split :]
         return (DegRevLex.key(a), DegRevLex.key(b))
 
-    def desc_key(self, e):
-        a, b = e[: self.split], e[self.split :]
-        return (DegRevLex.desc_key(a), DegRevLex.desc_key(b))
+    def weights(self, n, w):
+        m = n - self.split
+        # a second-block degrevlex sum is below m * w^(m+1) <= w^(m+2)
+        scale = w ** (m + 2)
+        return [x * scale for x in DegRevLex.weights(self.split, w)] + DegRevLex.weights(m, w)
 
     def __repr__(self):
         return "block(%d)" % self.split
@@ -479,14 +483,6 @@ def normalized_generators(polys):
 
 def monomial_divides(a, b):
     return all(map(le, a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def monomial_sub(a, b):
-    return tuple(map(sub, a, b))
 
 
 def standard_ring(field, n, order=DEGREVLEX, prefix="x"):

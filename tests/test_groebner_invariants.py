@@ -3,21 +3,38 @@
 Every basis element is monic, and no lead of the unreduced basis divides
 a later lead.  So `_spoly` needs no inverse and `_autoreduce` needs one
 pass; both are compared here with the general formulas they replace.
+The helpers run on packed polynomials; the tests convert at their own
+boundary with the module's `_Packing.pack` and `_Packing.unpack`.
 """
 
 import random
+from operator import sub
 
 import pytest
 
 from grassgeo import associated, groebner
 from grassgeo.fields import GF, QQ
-from grassgeo.groebner import _Budget, _autoreduce, _reduce_full, _spoly, buchberger
-from grassgeo.poly import DEGREVLEX, LEX, BlockOrder, PolyRing, monomial_divides, monomial_lcm, monomial_sub
+from grassgeo.groebner import _Budget, _autoreduce, _Packing, _reduce_full, _spoly, buchberger
+from grassgeo.poly import DEGREVLEX, LEX, BlockOrder, PolyRing, monomial_divides
 from grassgeo.varieties import twisted_cubic
 
 FIELDS = {"q": QQ, "gf2": GF(2), "gf3": GF(3), "gf32003": GF(32003)}
 ORDERS = {"lex": LEX, "degrevlex": DEGREVLEX, "block": BlockOrder(2)}
 SEEDS = range(8)
+
+
+def monomial_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def monomial_sub(a, b):
+    return tuple(map(sub, a, b))
+
+
+def _reduce_full_poly(p, basis, bud):
+    """`_reduce_full` on Polys."""
+    pk = _Packing(p.ring)
+    return pk.unpack(_reduce_full(pk.pack(p), [pk.pack(g) for g in basis], bud))
 
 
 def _fixpoint_autoreduce(basis, bud):
@@ -30,7 +47,7 @@ def _fixpoint_autoreduce(basis, bud):
         out = []
         for i, g in enumerate(basis):
             others = out + basis[i + 1 :]
-            r = _reduce_full(g, others, bud)
+            r = _reduce_full_poly(g, others, bud)
             if r:
                 r = r.monic()
                 out.append(r)
@@ -68,7 +85,7 @@ def _seeded_gens(ring, seed):
 
 
 def _captured_bases(field, order, monkeypatch):
-    """The bases `buchberger` hands to `_autoreduce` on the seeded ideals."""
+    """The bases `buchberger` hands to `_autoreduce` on the seeded ideals, packed."""
     captured = []
 
     def capture(basis, bud):
@@ -87,13 +104,15 @@ def _captured_bases(field, order, monkeypatch):
 def test_one_pass_matches_fixpoint_interreduction(field_name, order_name, monkeypatch):
     bases = _captured_bases(FIELDS[field_name], ORDERS[order_name], monkeypatch)
     redundant = 0
-    for basis in bases:
+    for packed in bases:
+        pk = packed[0].packing
+        basis = [pk.unpack(g) for g in packed]
         leads = [g.lead()[0] for g in basis]
         assert all(g.lead()[1] == g.ring.field.one for g in basis)
         assert not any(monomial_divides(a, b) for i, a in enumerate(leads) for b in leads[i + 1 :])
         redundant += any(a != b and monomial_divides(a, b) for a in leads for b in leads)
         expected = _fixpoint_autoreduce(basis, _Budget(10**9))
-        assert _autoreduce(basis, _Budget(10**9)) == expected
+        assert [pk.unpack(g) for g in _autoreduce(packed, _Budget(10**9))] == expected
     assert redundant
 
 
@@ -130,17 +149,20 @@ def test_interreduction_reduces_each_survivor_once(monkeypatch):
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
-def test_spoly_of_monic_elements_divides_nothing(field_name, count_fp_operators):
+def test_spoly_of_monic_elements_divides_nothing(field_name, count_fp_operators, monkeypatch):
     field = FIELDS[field_name]
     ring = PolyRing(field, ("w", "x", "y", "z"), DEGREVLEX)
+    pk = _Packing(ring)
     pairs = []
     for seed in SEEDS:
         gens = [g.monic() for g in _seeded_gens(ring, seed) if g]
         pairs += [(f, g) for f in gens for g in gens if f is not g]
     expected = [_general_spoly(f, g) for f, g in pairs]
+    inverses = []
+    monkeypatch.setattr(type(field.kernel), "inv", lambda k, x: inverses.append(x))
     calls = count_fp_operators()
-    got = [_spoly(f, g) for f, g in pairs]
+    got = [pk.unpack(_spoly(pk.pack(f), pk.pack(g))) for f, g in pairs]
     assert "__truediv__" not in calls and "__rtruediv__" not in calls
     assert got == expected
-    if field.kind == "fp":
-        assert calls
+    # the coefficients are raw kernel scalars: no Fp operator runs, and no kernel inverse is taken
+    assert not calls and not inverses
