@@ -133,14 +133,13 @@ def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
     raise SamplingError("no general associated sample found")
 
 
-def _rank_one_conormals(adapted: AdaptedBasis, kernel_quotient_rows, image_point):
-    """Conormal maps c (x) x_A with the given quotient rows in the kernel."""
+def _rank_one_conormals(adapted: AdaptedBasis, kernel_quotient_rows: Matrix, image_point):
+    """Conormal maps c (x) x_A with the quotient classes whose coordinates are these rows in the kernel."""
     a = adapted
-    x_a = a.subspace_coords(image_point)
-    cs = Matrix(a.field, kernel_quotient_rows, a.n - a.ell).nullspace()
+    x_a = a.subspace_coords(Matrix._of(a.field, (tuple(image_point),), a.n + 1)).rows[0]
     mats = []
-    for c in cs.rows:
-        mats.append(Matrix(a.field, [[ci * xj for xj in x_a] for ci in c]))
+    for c in kernel_quotient_rows.nullspace().rows:
+        mats.append(Matrix._of(a.field, tuple(tuple(ci * xj for xj in x_a) for ci in c), a.ell + 1))
     return HomSpace(CONORMAL, a, mats)
 
 
@@ -160,8 +159,7 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
     c = v.codim()
     a = adapted_basis(sample.subspace)
     if ell <= c - 1:
-        rows = [a.quotient_coords(r) for r in sample.tangent_at_x.basis.rows]
-        return _rank_one_conormals(a, rows, sample.witness.point)
+        return _rank_one_conormals(a, a.quotient_coords(sample.tangent_at_x.basis), sample.witness.point)
     if dual is None:
         try:
             dual = dual_variety(v)
@@ -169,8 +167,7 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
             pass
     if dual is None or ell <= dual.dimension():
         # hypersurface range: single witness (x, H)
-        rows = [a.quotient_coords(r) for r in sample.witness.h.basis.rows]
-        return _rank_one_conormals(a, rows, sample.witness.point)
+        return _rank_one_conormals(a, a.quotient_coords(sample.witness.h.basis), sample.witness.point)
     # alpha range: run the beta formula on the dual side and pull back
     n = v.n
     field = v.field
@@ -182,8 +179,7 @@ def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVari
     if tprime is None:
         raise NonGeneralConfiguration("dual witness point singular")
     ad = adapted_basis(lperp)
-    rows = [ad.quotient_coords(r) for r in tprime.basis.rows]
-    dual_space = _rank_one_conormals(ad, rows, xprime)
+    dual_space = _rank_one_conormals(ad, ad.quotient_coords(tprime.basis), xprime)
     back = perp_dual_space(dual_space)
     # re-express over the sample's own adapted basis
     rebased = [rebase_hom(h, a).matrix for h in back.homs()]

@@ -232,15 +232,15 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
     def coeff(f, j):
         return f[j] if 0 <= j < len(f) else field.zero
 
-    jac = Matrix(field, [[coeff(f, j) for f in partials] + [coeff(f, j - 1) for f in partials] for j in range(m)])
+    rows = tuple(tuple([coeff(f, j) for f in partials] + [coeff(f, j - 1) for f in partials]) for j in range(m))
+    jac = Matrix._of(field, rows, 2 * len(partials))
     if jac.rank() != m:
         raise NonGeneralConfiguration("non-general configuration, reseed (Jacobian rank)")
     ker = jac.nullspace()
     a = cfg.adapted
     mats = []
     for vrow in ker.rows:
-        mrows = [vrow[: n + 1], vrow[n + 1 :]]
-        mats.append(stiefel_differential(a, Matrix(field, mrows)).matrix)
+        mats.append(stiefel_differential(a, Matrix._of(field, (vrow[: n + 1], vrow[n + 1 :]), n + 1)).matrix)
     space = HomSpace(TANGENT, a, mats)
     expected = 2 * (n - 1) - (m - 1)
     if space.dim != expected:
@@ -255,7 +255,7 @@ def structural_kernel_homs(cfg: ContactConfig) -> HomSpace:
     a = cfg.adapted
     field = cfg.variety.field
     top = cfg.flag[-1]  # T_L C_m
-    qrows = Matrix(field, [a.quotient_coords(r) for r in top.basis.rows]).row_space_basis()
+    qrows = a.quotient_coords(top.basis).row_space_basis()
     domain = Matrix(field, [cfg.point, cfg.direction_point])
     zero_row = [field.zero] * (a.n + 1)
     mats = []

@@ -218,6 +218,16 @@ class Kernel:
         """The ring element d / den, for a pass's determinant."""
         return self.wrap([self.mul(d, self.inv(den))])[0]
 
+    def kernel_rows(self, m, piv, ncols):
+        """(rows, d): raw rows spanning the kernel of a matrix, and the d to start a pass on them.
+
+        m holds the matrix's RREF, pivot columns piv, as a finished
+        Gauss-Jordan pass leaves it or as `echelon_rows` makes it of an
+        RREF.  Here m is the RREF itself, so the row of a free column f is
+        the unit at f less the RREF's column f at the pivot columns.
+        """
+        return _free_column_rows(m, piv, ncols, self.zero, self.one, self.neg), self.one
+
     def product(self, rows, cols):
         """Row tuples of the product of the matrix with these rows and the one with these columns."""
         cols = [self.unwrap(c) for c in cols]
@@ -322,6 +332,20 @@ class ElementKernel(Kernel):
         return sum(products, next(products, self.zero))
 
 
+def _free_column_rows(m, piv, ncols, zero, lead, neg):
+    """For each free column f: lead at f, neg(m[r][f]) at the r-th pivot column, zero elsewhere."""
+    rows = []
+    pivots = set(piv)
+    for f in range(ncols):
+        if f not in pivots:
+            v = [zero] * ncols
+            v[f] = lead
+            for r, c in enumerate(piv):
+                v[c] = neg(m[r][f])
+            rows.append(v)
+    return rows
+
+
 def _cleared(row):
     """(ints, l): the row of Fractions times l, its least common denominator."""
     pairs = [x.as_integer_ratio() for x in row]
@@ -372,6 +396,16 @@ class RationalKernel(ElementKernel):
     @staticmethod
     def echelon_wrap(m, d):
         return tuple(tuple(_over(row, d)) for row in m)
+
+    @staticmethod
+    def kernel_rows(m, piv, ncols):
+        """Each pivot row of m is its pivot entry times the RREF row: the last d after a pass, the row's
+        least common denominator for a cleared RREF.  Brought to the lcm l of those entries, the kernel
+        rows times l are int rows; a pass on them starts at 1."""
+        scales = [m[r][c] for r, c in enumerate(piv)]
+        l = lcm(*scales)
+        m = [row if s == l else [x * (l // s) for x in row] for row, s in zip(m, scales)]
+        return _free_column_rows(m, piv, ncols, 0, l, neg), 1
 
     @staticmethod
     def quotient(d, den):

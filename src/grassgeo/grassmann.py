@@ -8,7 +8,9 @@ Conventions (fixed once, recorded here so reports are bit-stable):
 * An adapted basis extends the rows of L by unit vectors at the
   lexicographically first column set that completes them to a basis
   of K^{n+1}; the classes of those unit vectors are the working basis
-  of the quotient K^{n+1}/L.
+  of the quotient K^{n+1}/L.  Its inverse comes from the square block
+  of L's rows at the kept columns, and coordinates in it are read for
+  a whole matrix of vectors in one product (see `AdaptedBasis`).
 * A tangent vector at L is a map L -> K^{n+1}/L stored as an
   (ell+1) x (n-ell) matrix (rows: basis of L, columns: quotient
   classes).  A conormal vector is a map K^{n+1}/L -> L stored as an
@@ -84,22 +86,6 @@ def hyperplane_subspace(field, normal) -> Subspace:
     return Subspace(field, len(normal) - 1, m.nullspace(), check=False)
 
 
-def empty_subspace(field, n) -> Subspace:
-    return Subspace(field, n, Matrix.zero(field, 0, n + 1), check=False)
-
-
-def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    return Subspace(a.field, a.n, a.basis.stack(b.basis).row_space_basis(), check=False)
-
-
-def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    """Row-space intersection: solve x*A = y*B."""
-    stacked = a.basis.stack(b.basis).transpose()  # columns: A rows then B rows
-    ker = stacked.nullspace()  # rows (x, -y) with x*A = y*B
-    xs = ker.submatrix(range(ker.nrows), range(a.basis.nrows))
-    return Subspace(a.field, a.n, (xs @ a.basis).row_space_basis(), check=False)
-
-
 def pluecker_embed(field, basis_matrix: Matrix) -> Subspace:
     """Subspace with Pluecker vector from a full-row-rank matrix."""
     n = basis_matrix.ncols - 1
@@ -170,8 +156,14 @@ def evaluate_pluecker(poly, subspace: Subspace):
 class AdaptedBasis:
     """Rows of L completed by unit vectors at complement columns.
 
-    The inverse of the full matrix is computed the first time it is read:
-    a basis that only frames a chart never needs it.
+    Up to the order of its columns the full matrix is [A_K A_C; 0 I],
+    A_K the square block of L's rows at the kept columns K and A_C the
+    rest, so up to the order of its rows its inverse is [B -B A_C; 0 I]
+    with B the inverse of A_K:
+    one (ell+1)-square inverse and one product, computed the first time
+    it is read (a basis that only frames a chart never needs it).
+    Coordinates are read for a whole matrix of vectors at once, in one
+    product with that inverse.
     """
 
     __slots__ = ("subspace", "complement_columns", "full", "_full_inv")
@@ -185,7 +177,19 @@ class AdaptedBasis:
     @property
     def full_inv(self):
         if self._full_inv is None:
-            self._full_inv = self.full.inverse()
+            field, n, comp = self.field, self.n, self.complement_columns
+            basis = self.subspace.basis
+            k = basis.nrows
+            kept = [c for c in range(n + 1) if c not in comp]
+            b = basis.submatrix(range(k), kept).inverse()
+            b_ac = b @ basis.submatrix(range(k), comp)
+            rows = [None] * (n + 1)
+            for c, b_row, m_row in zip(kept, b.rows, b_ac.rows):
+                rows[c] = b_row + tuple(-x for x in m_row)
+            z, o = field.zero, field.one
+            for t, c in enumerate(comp):
+                rows[c] = (z,) * k + tuple(o if j == t else z for j in range(n + 1 - k))
+            self._full_inv = Matrix._of(field, tuple(rows), n + 1)
         return self._full_inv
 
     @property
@@ -200,17 +204,19 @@ class AdaptedBasis:
     def field(self):
         return self.subspace.field
 
-    def quotient_coords(self, v):
-        """Coordinates of v + L in the unit-class basis of K^{n+1}/L."""
-        x = Matrix(self.field, [v]) @ self.full_inv
-        return tuple(x.rows[0][self.ell + 1 :])
+    def quotient_coords(self, m: Matrix) -> Matrix:
+        """Row i: the coordinates of (row i of m) + L in the unit-class basis of K^{n+1}/L."""
+        k = self.ell + 1
+        x = m @ self.full_inv
+        return Matrix._of(self.field, tuple(r[k:] for r in x.rows), self.n + 1 - k)
 
-    def subspace_coords(self, v):
-        """Coordinates of v in the rows of L; v must lie in L."""
-        x = (Matrix(self.field, [v]) @ self.full_inv).rows[0]
-        if any(c for c in x[self.ell + 1 :]):
+    def subspace_coords(self, m: Matrix) -> Matrix:
+        """Row i: the coordinates of row i of m in the rows of L; every row must lie in L."""
+        k = self.ell + 1
+        x = m @ self.full_inv
+        if any(c for r in x.rows for c in r[k:]):
             raise ValueError("vector not in the subspace")
-        return tuple(x[: self.ell + 1])
+        return Matrix._of(self.field, tuple(r[:k] for r in x.rows), k)
 
     def lift_quotient(self, qcoords):
         """A representative in K^{n+1} of the class with these coordinates."""
@@ -237,16 +243,12 @@ def adapted_basis(s: Subspace) -> AdaptedBasis:
     """
     n = s.n
     field = s.field
+    z, o = field.zero, field.one
     for kept, minor in zip(reversed(s.column_sets()), reversed(s.pluecker)):
         if minor:
             comp = tuple(c for c in range(n + 1) if c not in kept)
-            unit_rows = []
-            z, o = field.zero, field.one
-            for col in comp:
-                r = [z] * (n + 1)
-                r[col] = o
-                unit_rows.append(r)
-            full = s.basis.stack(Matrix(field, unit_rows, n + 1))
+            unit_rows = tuple(tuple(o if j == col else z for j in range(n + 1)) for col in comp)
+            full = s.basis.stack(Matrix._of(field, unit_rows, n + 1))
             return AdaptedBasis(s, comp, full)
     raise ValueError("no completion found (rank-deficient basis?)")
 
@@ -261,12 +263,13 @@ def _hom_shape(direction, ell, n):
 
 
 def _flat(m: Matrix):
-    return [x for r in m.rows for x in r]
+    return tuple(x for r in m.rows for x in r)
 
 
 def _unflat(field, v, shape):
+    """The matrix of this shape whose rows, read in turn, are the tuple v of field elements."""
     nr, nc = shape
-    return Matrix(field, [v[i * nc : (i + 1) * nc] for i in range(nr)], nc)
+    return Matrix._of(field, tuple(v[i * nc : (i + 1) * nc] for i in range(nr)), nc)
 
 
 def _span_in_subspace(a: AdaptedBasis, coords: Matrix) -> Subspace:
@@ -276,7 +279,7 @@ def _span_in_subspace(a: AdaptedBasis, coords: Matrix) -> Subspace:
 
 def _subspace_plus_lifts(a: AdaptedBasis, qcoords: Matrix) -> Subspace:
     """L plus lifts of the quotient classes with these coordinates."""
-    lifts = Matrix(a.field, [a.lift_quotient(v) for v in qcoords.rows], a.n + 1)
+    lifts = Matrix._of(a.field, tuple(a.lift_quotient(v) for v in qcoords.rows), a.n + 1)
     return Subspace(a.field, a.n, a.subspace.basis.stack(lifts).row_space_basis(), check=False)
 
 
@@ -324,7 +327,7 @@ class Hom:
         return _span_in_subspace(self.adapted, img)
 
     def flatten(self):
-        return tuple(_flat(self.matrix))
+        return _flat(self.matrix)
 
     def __repr__(self):
         return "Hom(%s, %d x %d)" % (self.direction, self.matrix.nrows, self.matrix.ncols)
@@ -354,7 +357,7 @@ class HomSpace:
 
     def _flat_matrix(self, mats):
         nr, nc = self.shape()
-        return Matrix(self.adapted.field, [_flat(m) for m in mats], nr * nc)
+        return Matrix._of(self.adapted.field, tuple(_flat(m) for m in mats), nr * nc)
 
     @property
     def dim(self):
@@ -411,26 +414,18 @@ def stiefel_differential(adapted: AdaptedBasis, m: Matrix) -> Hom:
         raise ValueError("direction matrix must be (ell+1) x (n+1)")
     if m.field != adapted.field:
         raise FieldMismatch("field mismatch in stiefel differential")
-    rows = [adapted.quotient_coords(r) for r in m.rows]
-    return Hom(TANGENT, Matrix(adapted.field, rows, adapted.n - adapted.ell), adapted)
+    return Hom(TANGENT, adapted.quotient_coords(m), adapted)
 
 
 def tangent_from_action(adapted: AdaptedBasis, domain_rows: Matrix, image_rows: Matrix) -> Hom:
     """Tangent hom defined by row_i(domain) |-> class of row_i(image).
 
-    domain_rows must span the subspace; the action is rewritten on the
-    adapted rows by solving a change of basis.
+    domain_rows must be a basis of the subspace (ValueError otherwise);
+    the action is rewritten on the adapted rows by inverting the change
+    of basis.
     """
-    a = adapted
-    coeff_rows = []
-    dt = domain_rows.transpose()
-    for arow in a.subspace.basis.rows:
-        x = dt.solve(arow)
-        if x is None:
-            raise ValueError("domain rows do not span the subspace")
-        coeff_rows.append(x)
-    lifts = Matrix(a.field, coeff_rows, domain_rows.nrows) @ image_rows
-    return stiefel_differential(a, lifts)
+    change = adapted.subspace_coords(domain_rows).inverse()  # adapted row i = sum_j change[i,j] * domain_j
+    return stiefel_differential(adapted, change @ image_rows)
 
 
 def conormal_from_action(adapted: AdaptedBasis, domain_lifts: Matrix, image_rows: Matrix) -> Hom:
@@ -439,12 +434,8 @@ def conormal_from_action(adapted: AdaptedBasis, domain_lifts: Matrix, image_rows
     domain_lifts: (n-ell) vectors of K^{n+1} whose classes span the
     quotient; image_rows: their images inside the subspace.
     """
-    a = adapted
-    r = Matrix(a.field, [a.quotient_coords(v) for v in domain_lifts.rows], a.n - a.ell)
-    e = r.inverse()  # unit class j = sum_k e[j,k] * class(domain_k)
-    imgs = e @ image_rows
-    n_rows = [a.subspace_coords(v) for v in imgs.rows]
-    return Hom(CONORMAL, Matrix(a.field, n_rows, a.ell + 1), adapted)
+    e = adapted.quotient_coords(domain_lifts).inverse()  # unit class j = sum_k e[j,k] * class(domain_k)
+    return Hom(CONORMAL, adapted.subspace_coords(e @ image_rows), adapted)
 
 
 def rebase_hom(h: Hom, target: AdaptedBasis) -> Hom:
@@ -453,24 +444,12 @@ def rebase_hom(h: Hom, target: AdaptedBasis) -> Hom:
     if not src.subspace.same_as(target.subspace):
         raise ValueError("rebase requires equal subspaces")
     if h.direction == TANGENT:
-        lifts = Matrix(src.field, [src.lift_quotient(r) for r in h.matrix.rows], src.n + 1)
+        lifts = Matrix._of(src.field, tuple(src.lift_quotient(r) for r in h.matrix.rows), src.n + 1)
         return tangent_from_action(target, src.subspace.basis, lifts)
-    lifts = Matrix(
-        src.field,
-        [src.lift_quotient(v) for v in Matrix.identity(src.field, src.n - src.ell).rows],
-        src.n + 1,
-    )
+    units = Matrix.identity(src.field, src.n - src.ell).rows
+    lifts = Matrix._of(src.field, tuple(src.lift_quotient(v) for v in units), src.n + 1)
     images = h.matrix @ src.subspace.basis
     return conormal_from_action(target, lifts, images)
-
-
-def trace_pairing(phi: Hom, psi: Hom):
-    """tr(psi o phi) for a tangent/conormal pair at the same L."""
-    if phi.direction == psi.direction:
-        raise ValueError("trace pairing needs opposite directions")
-    t, c = (phi, psi) if phi.direction == TANGENT else (psi, phi)
-    composite = t.matrix @ c.matrix
-    return sum((composite[i, i] for i in range(composite.nrows)), t.adapted.field.zero)
 
 
 def trace_annihilator(space: HomSpace) -> HomSpace:
@@ -483,8 +462,8 @@ def trace_annihilator(space: HomSpace) -> HomSpace:
     out_dir = CONORMAL if space.direction == TANGENT else TANGENT
     out_shape = _hom_shape(out_dir, a.ell, a.n)
     # coefficient of unknown[j,i] (row-major in the output shape) is m[i,j]
-    rows = [_flat(m.transpose()) for m in space.mats]
-    ker = Matrix(a.field, rows, out_shape[0] * out_shape[1]).nullspace()
+    rows = tuple(_flat(m.transpose()) for m in space.mats)
+    ker = Matrix._of(a.field, rows, out_shape[0] * out_shape[1]).nullspace()
     return HomSpace(out_dir, a, [_unflat(a.field, v, out_shape) for v in ker.rows])
 
 
@@ -492,19 +471,14 @@ def homs_with_kernel_containing(adapted: AdaptedBasis, inner: Subspace) -> HomSp
     """All tangent homs vanishing on a subspace of L (an alpha-space
     when inner is a hyperplane of L)."""
     a = adapted
-    pc = Matrix(a.field, [a.subspace_coords(r) for r in inner.basis.rows], a.ell + 1)
-    left = pc.nullspace()
+    left = a.subspace_coords(inner.basis).nullspace()
     z = a.field.zero
+    nc = a.n - a.ell
     mats = []
     for u in left.rows:
-        for j in range(a.n - a.ell):
-            rows = []
-            for i in range(a.ell + 1):
-                r = [z] * (a.n - a.ell)
-                if u[i]:
-                    r[j] = u[i]
-                rows.append(r)
-            mats.append(Matrix(a.field, rows))
+        for j in range(nc):
+            rows = tuple(tuple(x if t == j else z for t in range(nc)) for x in u)
+            mats.append(Matrix._of(a.field, rows, nc))
     return HomSpace(TANGENT, a, mats)
 
 
@@ -512,15 +486,13 @@ def homs_with_image_in(adapted: AdaptedBasis, outer: Subspace) -> HomSpace:
     """All tangent homs with image inside (outer + L)/L (a beta-space
     when outer has dimension ell+1 and contains L)."""
     a = adapted
-    q = Matrix(a.field, [a.quotient_coords(r) for r in outer.basis.rows], a.n - a.ell).row_space_basis()
-    z = a.field.zero
+    q = a.quotient_coords(outer.basis).row_space_basis()
+    zero_row = (a.field.zero,) * (a.n - a.ell)
     mats = []
     for i in range(a.ell + 1):
         for w in q.rows:
-            rows = []
-            for k in range(a.ell + 1):
-                rows.append(list(w) if k == i else [z] * (a.n - a.ell))
-            mats.append(Matrix(a.field, rows))
+            rows = tuple(w if k == i else zero_row for k in range(a.ell + 1))
+            mats.append(Matrix._of(a.field, rows, a.n - a.ell))
     return HomSpace(TANGENT, a, mats)
 
 

@@ -4,12 +4,18 @@ Matrices are immutable tuples of tuples together with their width, so
 a matrix with no rows still has a column count: the kernel of an
 invertible k x k matrix is 0 x k, its transpose k x 0, a product over
 an empty inner dimension is a zero matrix and a 0 x 0 determinant is 1.
-One elimination pass does all the pivoting: `rref` runs it as
-Gauss-Jordan (each pivot clears its column above and below), `det` and
-`rank` run it downwards only, and kernels, inverses and solutions go
-through `rref`.  The pivot is the first unit at or below the current
-row, so reduced echelon forms, kernels and ranks are bit-stable across
-runs.
+One elimination pass, `_eliminate`, does all the pivoting on raw rows:
+`rref` runs it as Gauss-Jordan (each pivot clears its column above and
+below), `det` and `rank` run it downwards only, and inverses and
+solutions go through `rref`.  `nullspace` reads its kernel rows off the
+raw rows of one Gauss-Jordan pass and reduces them by a second pass,
+with nothing wrapped or cleared between.  The pivot is the first unit
+at or below the current row, so reduced echelon forms, kernels and
+ranks are bit-stable across runs.  A matrix keeps the pivot columns of
+its first elimination, and one that `rref`, `row_space_basis` or
+`nullspace` returns knows that it is its own RREF, so its `rank`,
+`rref` and `row_space_basis` eliminate nothing and its `nullspace`
+makes only the second pass.
 
 Elimination and products run on the raw scalars of `field.kernel` (see
 `fields`), which also owns the row update of a pivot step: over F_p and
@@ -35,7 +41,9 @@ from .errors import FieldMismatch, NonGeneralConfiguration
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    # _piv: the pivot columns of the RREF once an elimination has found them;
+    # _reduced: the rows are their own RREF, so rref, rank and row_space_basis eliminate nothing
+    __slots__ = ("field", "rows", "nrows", "ncols", "_piv", "_reduced")
 
     def __init__(self, field, rows, ncols=None):
         """Entries are coerced into field; ncols may be left out when there is at least one row."""
@@ -50,26 +58,33 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._piv = None
+        self._reduced = False
 
     @classmethod
-    def _of(cls, field, rows, ncols):
-        """A matrix from a tuple of row tuples whose entries are already elements of field."""
+    def _of(cls, field, rows, ncols, piv=None):
+        """A matrix from a tuple of row tuples whose entries are already elements of field.
+
+        Pass piv only for rows that are their own RREF with these pivot columns.
+        """
         m = cls.__new__(cls)
         m.field = field
         m.rows = rows
         m.nrows = len(rows)
         m.ncols = ncols
+        m._piv = piv
+        m._reduced = piv is not None
         return m
 
     # -- constructors -------------------------------------------------
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls._of(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
+        return cls._of(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n, tuple(range(n)))
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        return cls._of(field, ((field.zero,) * ncols,) * nrows, ncols)
+        return cls._of(field, ((field.zero,) * ncols,) * nrows, ncols, ())
 
     # -- basics --------------------------------------------------------
     def __getitem__(self, ij):
@@ -146,67 +161,51 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------
     def _forward(self, k, above=False):
-        """The one elimination pass, on k's raw scalars: (pivot columns, rows, d, den).
+        """`_eliminate` on k's raw scalars of the rows, keeping the pivot columns: (pivot columns, rows, d, den).
 
-        The pivot of each column is the first unit at or below the
-        current row, and `k.pivot_step` clears the column with it below
-        the pivot, and above it too when `above`.  A column without a
-        unit is skipped.  Over a field the rows left below the pivots
-        are then zero; over jets a skipped column may hold nilpotents,
-        and a nonzero row left below the pivots means the rank drops
-        only to first order, which raises.  When every row has a pivot
-        the determinant is d / den, den being negated at each row swap.
+        When every row has a pivot the determinant is d / den.
         """
         m, d, den = k.echelon_rows(self.rows)
-        unit, nonzero, step = k.unit, k.nonzero, k.pivot_step
-        nr = self.nrows
-        piv_cols = []
-        r = 0
-        for c in range(self.ncols):
-            if r == nr:
-                break
-            for sel in range(r, nr):
-                if unit(m[sel][c]):
-                    break
-            else:
-                continue
-            if sel != r:
-                m[r], m[sel] = m[sel], m[r]
-                den = k.neg(den)
-            d = step(m, r, c, d, above)
-            piv_cols.append(c)
-            r += 1
-        if any(nonzero(x) for row in m[r:] for x in row):
-            raise NonGeneralConfiguration("rank drops to first order")
+        piv_cols, d, den = _eliminate(m, self.ncols, k, d, den, above)
+        if self._piv is None:
+            self._piv = tuple(piv_cols)
         return piv_cols, m, d, den
 
     def rref(self):
         """Reduced row echelon form; returns (pivot columns, Matrix)."""
+        if self._reduced:
+            return self._piv, self
         k = self.field.kernel
-        piv_cols, m, d, _ = self._forward(k, above=True)
-        return tuple(piv_cols), Matrix._of(self.field, k.echelon_wrap(m, d), self.ncols)
+        _, m, d, _ = self._forward(k, above=True)
+        return self._piv, Matrix._of(self.field, k.echelon_wrap(m, d), self.ncols, self._piv)
 
     def rank(self):
-        return len(self._forward(self.field.kernel)[0])
+        if self._piv is None:
+            self._forward(self.field.kernel)
+        return len(self._piv)
 
     def row_space_basis(self):
         """Nonzero rows of the RREF."""
         piv, red = self.rref()
-        return Matrix._of(self.field, red.rows[: len(piv)], self.ncols)
+        if len(piv) == red.nrows:
+            return red
+        return Matrix._of(self.field, red.rows[: len(piv)], self.ncols, piv)
 
     def nullspace(self):
-        """Basis (as rows, reduced echelon) of {v : self @ v = 0}."""
-        piv, red = self.rref()
-        free = [c for c in range(self.ncols) if c not in piv]
-        z, o = self.field.zero, self.field.one
-        basis = []
-        for fc in free:
-            v = [z] * self.ncols
-            v[fc] = o
-            for r, pc in enumerate(piv):
-                v[pc] = -red.rows[r][fc]
-            basis.append(tuple(v))
-        return Matrix._of(self.field, tuple(basis), self.ncols).row_space_basis()
+        """Basis (as rows, reduced echelon) of {v : self @ v = 0}.
+
+        The kernel rows are read off the raw rows of one Gauss-Jordan pass,
+        which a matrix that is its own RREF skips, and reduced by a second
+        pass on them, with nothing wrapped between.
+        """
+        k = self.field.kernel
+        if self._reduced:
+            piv, m = self._piv, k.echelon_rows(self.rows)[0]
+        else:
+            piv, m, _, _ = self._forward(k, above=True)
+        basis, d = k.kernel_rows(m, piv, self.ncols)
+        kpiv, d, _ = _eliminate(basis, self.ncols, k, d, d, True)
+        return Matrix._of(self.field, k.echelon_wrap(basis, d), self.ncols, tuple(kpiv))
 
     def left_nullspace(self):
         return self.transpose().nullspace()
@@ -255,12 +254,39 @@ class Matrix:
         return all(not x for r in self.rows for x in r)
 
 
-def rank_kernel(m: Matrix):
-    """(rank, kernel basis rows, row space basis rows), all reduced echelon."""
-    piv, red = m.rref()
-    rank = len(piv)
-    row_basis = Matrix._of(m.field, red.rows[:rank], m.ncols)
-    return rank, m.nullspace(), row_basis
+def _eliminate(m, ncols, k, d, den, above):
+    """The one elimination pass, in place on the rows m of k's raw scalars: (pivot columns, d, den).
+
+    The pivot of each column is the first unit at or below the current
+    row, and `k.pivot_step` clears the column with it below the pivot,
+    and above it too when `above`.  A column without a unit is skipped.
+    Over a field the rows left below the pivots are then zero; over jets
+    a skipped column may hold nilpotents, and a nonzero row left below
+    the pivots means the rank drops only to first order, which raises.
+    d and den start as `k.echelon_rows` or `k.kernel_rows` leave them;
+    den is negated at each row swap.
+    """
+    unit, nonzero, step = k.unit, k.nonzero, k.pivot_step
+    nr = len(m)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        for sel in range(r, nr):
+            if unit(m[sel][c]):
+                break
+        else:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            den = k.neg(den)
+        d = step(m, r, c, d, above)
+        piv_cols.append(c)
+        r += 1
+    if any(nonzero(x) for row in m[r:] for x in row):
+        raise NonGeneralConfiguration("rank drops to first order")
+    return piv_cols, d, den
 
 
 def row_space_contains(a: Matrix, v) -> bool:

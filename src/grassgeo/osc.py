@@ -244,6 +244,5 @@ def project_away(subspace: Subspace, center_adapted) -> Subspace:
     """Image of a subspace containing the center under the projection
     away from the center (coordinates: the adapted quotient)."""
     a = center_adapted
-    rows = [a.quotient_coords(r) for r in subspace.basis.rows]
-    m = Matrix(a.field, rows).row_space_basis()
+    m = a.quotient_coords(subspace.basis).row_space_basis()
     return Subspace(a.field, a.n - a.ell - 1, m, check=False)

@@ -14,7 +14,8 @@ once and wraps its result into field elements once, so no `Fp`
 arithmetic runs inside.
 
 Over F_p the roots of f are those of g = gcd(f, t^p - t), with t^p mod f
-computed by square-and-multiply; g is split by equal-degree splitting
+computed by square-and-multiply (for odd p as t * h^2 with
+h = t^((p-1)/2) mod f, and h mod g serves as the first shift below); g is split by equal-degree splitting
 (Cantor & Zassenhaus 1981; von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 14) with the deterministic shifts (t + a)^((p-1)/2) - 1,
 a = 0, 1, 2, ...  Two distinct roots are separated by some shift a < p,
@@ -240,23 +241,31 @@ def _roots(f, k):
     if k.p is None:
         return found + _rational_roots(f)
     f = _monic(f, k)  # so that no division by f inverts its lead
+    if k.p == 2:
+        half, h = None, _powmod(0, 2, f, k)
+    else:
+        # t^p = t * (t^((p-1)/2))^2, and t^((p-1)/2) is the power of the first shift of _split, a = 0
+        half = _powmod(0, (k.p - 1) // 2, f, k)
+        h = _quo_rem([k.zero] + _mul(half, half, k), f, k)[1]
     # gcd(f, t^p - t) is the product of the distinct linear factors of f
-    h = _powmod(0, k.p, f, k) + [0, 0]
+    h = h + [0, 0]
     h[1] = k.reduce(h[1] - 1)
-    return found + sorted(_split(_gcd(f, _trim(h), k), k))
+    return found + sorted(_split(_gcd(f, _trim(h), k), k, half=half))
 
 
-def _split(g, k, a=0):
+def _split(g, k, a=0, half=None):
     """Roots of a monic g over F_p that is a product of distinct linear factors.
 
-    No shift below a splits g.
+    No shift below a splits g.  half, if given, is t^((p-1)/2) modulo a
+    multiple of g, the power of the shift a = 0.
     """
     if len(g) <= 2:
         return [k.reduce(-g[0])] if len(g) == 2 else []
     # p is odd here: over F_2 the factor t has been removed, so g divides t - 1
     e = (k.p - 1) // 2
     while True:
-        h = _powmod(a, e, g, k) + [0]
+        h = (_quo_rem(half, g, k)[1] if half is not None else _powmod(a, e, g, k)) + [0]
+        half = None
         h[0] = k.reduce(h[0] - 1)
         d = _gcd(g, _trim(h), k)
         a += 1

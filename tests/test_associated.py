@@ -75,7 +75,7 @@ def test_conormal_level_zero_kills_tangent_directions():
     con = associated_conormal(s, v)
     assert con.dim == v.n - 0 - v.dimension()
     a = con.adapted
-    tq = Matrix(QQ, [a.quotient_coords(r) for r in s.tangent_at_x.basis.rows])
+    tq = a.quotient_coords(s.tangent_at_x.basis)
     for h in con.homs():
         for trow in tq.rows:
             img = [

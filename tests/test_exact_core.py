@@ -9,11 +9,19 @@ from grassgeo.fields import GF, QQ, Fp, is_prime
 from grassgeo.groebner import buchberger, eliminate, groebner, normal_form
 from grassgeo.hilbert import hilbert_dim_degree, local_multiplicity
 from grassgeo.jets import JetRing
-from grassgeo.linalg import Matrix, rank_kernel
+from grassgeo.linalg import Matrix
 from grassgeo.poly import DEGREVLEX, LEX, Ideal, PolyRing
 
 
 F = GF(101)
+
+
+def rank_kernel(m: Matrix):
+    """Reference: (rank, kernel basis rows, row space basis rows), all reduced echelon."""
+    piv, red = m.rref()
+    rank = len(piv)
+    row_basis = Matrix(m.field, red.rows[:rank], m.ncols)
+    return rank, m.nullspace(), row_basis
 
 
 def test_fp_arithmetic():

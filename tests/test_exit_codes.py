@@ -1,11 +1,14 @@
-"""Every `elimination` benchmark report succeeds, and the budget exits spend a fixed amount.
+"""Every benchmark report succeeds, and the budget exits spend a fixed amount.
 
 A change to Groebner bases that alters a budget charge, or returns a
 wrong basis that a report's checks then reject, shows up as a report
 that exits non-zero.  So the `elimination` plan of perfbench/workloads.py
 runs here at eight seeds, each report through `grassgeo.cli.main` in
 process, and the three commands that run out of budget are pinned to
-their exact spend, which fixes the budget's unit.
+their exact spend, which fixes the budget's unit.  A change to the
+linear algebra or the root finding behind the sampling reports shows up
+the same way, so the `sampling-q` and `sampling-fp` plans run at four
+seeds and the `contact-roots` plan at one.
 """
 
 import contextlib
@@ -32,16 +35,29 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_every_elimination_report_exits_zero(seed, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    directory = str(Path("perfbench", ".work", "elimination-seed%d" % seed))
-    plan = workloads.build("elimination", seed, directory)
+def _every_report_exits_zero(workload, seed):
+    directory = str(Path("perfbench", ".work", "%s-seed%d" % (workload, seed)))
+    plan = workloads.build(workload, seed, directory)
     assert plan
     for report in plan:
         code, out, err = _run(workloads.resolve(report["argv"], directory))
         assert code == 0, (report["label"], err)
         assert json.loads(out)["ok"] is True, report["label"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_elimination_report_exits_zero(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _every_report_exits_zero("elimination", seed)
+
+
+@pytest.mark.parametrize(
+    "workload, seed",
+    [(w, s) for w in ("sampling-q", "sampling-fp") for s in range(4)] + [("contact-roots", 0)],
+)
+def test_every_sampling_and_contact_report_exits_zero(workload, seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _every_report_exits_zero(workload, seed)
 
 
 @pytest.mark.parametrize(

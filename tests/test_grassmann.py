@@ -13,12 +13,10 @@ from grassgeo.grassmann import (
     Subspace,
     adapted_basis,
     conormal_from_action,
-    empty_subspace,
     evaluate_pluecker,
     homs_with_image_in,
     homs_with_kernel_containing,
     hyperplane_subspace,
-    intersect_subspaces,
     perp_dual,
     perp_dual_hom,
     pluecker_embed,
@@ -26,12 +24,38 @@ from grassgeo.grassmann import (
     pluecker_relations,
     stiefel_differential,
     subspace_from_rows,
-    sum_subspaces,
     tangent_from_action,
     trace_annihilator,
-    trace_pairing,
 )
 from grassgeo.linalg import Matrix
+
+
+# -- references: subspace operations only these tests use ---------------------------------------------
+
+
+def empty_subspace(field, n) -> Subspace:
+    return Subspace(field, n, Matrix.zero(field, 0, n + 1), check=False)
+
+
+def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
+    return Subspace(a.field, a.n, a.basis.stack(b.basis).row_space_basis(), check=False)
+
+
+def intersect_subspaces(a: Subspace, b: Subspace) -> Subspace:
+    """Row-space intersection: solve x*A = y*B."""
+    stacked = a.basis.stack(b.basis).transpose()  # columns: A rows then B rows
+    ker = stacked.nullspace()  # rows (x, -y) with x*A = y*B
+    xs = ker.submatrix(range(ker.nrows), range(a.basis.nrows))
+    return Subspace(a.field, a.n, (xs @ a.basis).row_space_basis(), check=False)
+
+
+def trace_pairing(phi: Hom, psi: Hom):
+    """tr(psi o phi) for a tangent/conormal pair at the same L."""
+    if phi.direction == psi.direction:
+        raise ValueError("trace pairing needs opposite directions")
+    t, c = (phi, psi) if phi.direction == TANGENT else (psi, phi)
+    composite = t.matrix @ c.matrix
+    return sum((composite[i, i] for i in range(composite.nrows)), t.adapted.field.zero)
 
 
 def _rand_full_rank(field, rng, rows, cols):

@@ -284,3 +284,66 @@ def test_split_goes_on_from_the_parents_shift(p, monkeypatch):
     assert made <= restarted
     if p == 32003:
         assert made < restarted
+
+
+def _roots_by_own_powers(f, k):
+    """Reference: `_roots` with t^p and every splitting shift raised to its own power, as before
+    t^p came from t^((p-1)/2)."""
+    v = U.valuation(f)
+    f = f[v:]
+    found = [k.zero] if v else []
+    if len(f) == 1:
+        return found
+    f = U._monic(f, k)
+    h = U._powmod(0, k.p, f, k) + [0, 0]
+    h[1] = k.reduce(h[1] - 1)
+    return found + sorted(_split_by_own_powers(U._gcd(f, U._trim(h), k), k))
+
+
+def _split_by_own_powers(g, k, a=0):
+    if len(g) <= 2:
+        return [k.reduce(-g[0])] if len(g) == 2 else []
+    e = (k.p - 1) // 2
+    while True:
+        h = U._powmod(a, e, g, k) + [0]
+        h[0] = k.reduce(h[0] - 1)
+        d = U._gcd(g, U._trim(h), k)
+        a += 1
+        if 1 < len(d) < len(g):
+            return _split_by_own_powers(d, k, a) + _split_by_own_powers(U._quo_rem(g, d, k)[0], k, a)
+
+
+def _split_heavy_polys(field, rng):
+    """Products of distinct linear factors, some times t or an irreducible-looking cofactor, and random polynomials."""
+    t = PolyRing(field, ("t",)).var(0)
+    for _ in range(12):
+        f = t ** rng.randrange(2) * rng.randrange(1, field.p)
+        for r in rng.sample(range(field.p), min(rng.randrange(1, 8), field.p)):
+            f = f * (t - r)
+        if rng.random() < 0.5:
+            f = f * (t ** 2 + rng.randrange(field.p) * t + rng.randrange(1, field.p))
+        yield U.coeffs(f)
+    for degree in range(1, 9):
+        yield _random_poly(rng, field, degree)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_roots_from_the_half_power_match_brute_force(p):
+    field = GF(p)
+    rng = random.Random("half-power/%d" % p)
+    for f in _split_heavy_polys(field, rng):
+        assert U.roots(f, field) == _brute_force_roots(f, field)
+
+
+def test_roots_from_the_half_power_match_roots_by_own_powers_at_32003():
+    field = GF(32003)
+    k = field.kernel
+    rng = random.Random("half-power/32003")
+    split = 0
+    for _ in range(4):
+        for f in _split_heavy_polys(field, rng):
+            raw = k.unwrap(f)
+            want = _roots_by_own_powers(raw, k)
+            assert U._roots(raw, k) == want
+            split += len(want) >= 3
+    assert split >= 20
