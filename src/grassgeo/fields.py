@@ -543,9 +543,15 @@ def field_from_tag(tag: str):
 
 
 def scalar_from_string(field, s: str):
-    """Parse 'num/den' or integer literals into a field element."""
+    """Parse 'num/den' or integer literals into a field element.
+
+    A denominator that is zero in the field is an InvalidInput.
+    """
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        return field.of(Fraction(int(num), int(den)))
+        den = int(den)
+        if den == 0 or field.p and den % field.p == 0:
+            raise InvalidInput("%r has a zero denominator in %r" % (s, field))
+        return field.of(Fraction(int(num), den))
     return field.of(int(s))

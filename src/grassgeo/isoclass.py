@@ -304,7 +304,7 @@ def classify(space: HomSpace, mode: str, family_dim=None) -> ClassificationRepor
                 rep.check("rank-one locus rational", False, "irrational locus")
     rep.flags["rank_one_spanned"] = spanned
     # type tag
-    if space.dim == 1 and hyp:
+    if hyp:
         rep.type_tag = "hypersurface"
     elif strong and space.dim >= 2:
         tag, witness_sub = alpha_beta_type(space)
@@ -314,7 +314,7 @@ def classify(space: HomSpace, mode: str, family_dim=None) -> ClassificationRepor
         rep.type_tag = "mixed"
     else:
         rep.type_tag = "none"
-    if strong or hyp or spanned or rep.flags["low_dim_fallback"]:
+    if spanned or rep.flags["low_dim_fallback"]:
         rep.verdict = mode
     else:
         rep.verdict = "inconclusive"
@@ -373,22 +373,6 @@ def segre_tangency_certificate(space: HomSpace) -> SegreCertificate:
     if k - 1 != seg_codim:
         raise CertificateNotApplicable("span dimension %d != reduced Segre codimension %d" % (k - 1, seg_codim))
     seg_degree = comb((nr - 1) + (nc - 1), nr - 1)
-    if seg_codim == 0:
-        # everything is rank <= 1: single generator case
-        if k != 1:
-            raise CertificateNotApplicable("ambient Segre with a positive-dimensional span")
-        mat = red_space.mats[0]
-        if mat.rank() > 1:
-            raise CertificateNotApplicable("generator has rank >= 2 after reduction")
-        return SegreCertificate(
-            points=[((fld.one,), 1)],
-            unique_point=True,
-            multiplicity=1,
-            segre_degree=seg_degree,
-            bezout_total_ok=seg_degree == 1,
-            reduced_shape=(nr, nc),
-            kernel_quotient_dim=common.nrows,
-        )
     locus = rank_one_locus(red_space)
     if locus.dim != 0:
         raise CertificateNotApplicable("minor scheme not zero-dimensional (dim %d)" % locus.dim)

@@ -75,9 +75,6 @@ class ParamCurve:
         """Projective linear span of the curve."""
         return Subspace(self.field, self.n, self.coefficient_rows().row_space_basis(), check=False)
 
-    def span_dim(self):
-        return self.span().ell
-
     def point(self, t):
         tv = [self.field.of(t)]
         return tuple(c.evaluate(tv) for c in self.coords)
@@ -238,11 +235,3 @@ def classify_strongly_isotropic_family(samples):
         if not w.same_as(witness):
             raise InvalidInput("witness subspace varies across samples")
     return tag, witness
-
-
-def project_away(subspace: Subspace, center_adapted) -> Subspace:
-    """Image of a subspace containing the center under the projection
-    away from the center (coordinates: the adapted quotient)."""
-    a = center_adapted
-    m = a.quotient_coords(subspace.basis).row_space_basis()
-    return Subspace(a.field, a.n - a.ell - 1, m, check=False)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial expressions.
+"""Recursive-descent parser from polynomial text straight into a `Poly`.
 
 Grammar (whitespace-insensitive, standard precedence Pow > Neg > Mul >
 Add/Sub, left-associative):
@@ -10,61 +10,23 @@ Add/Sub, left-associative):
     atom  := CONST | VAR | '(' expr ')'
 
 CONST is a nonnegative integer or a rational literal NAT/NAT ('/' is
-not an operator; there is no division node).  VAR matches x<digits> or
-p<digits>(_<digits>)*.  Errors carry the offending position.  Printing
-a parsed tree and reparsing returns an equal tree; the printer keeps
-constants nonnegative (signs live in Neg/Sub nodes).
+not an operator).  VAR matches x<digits> or p<digits>(_<digits>)* and
+must be a variable of the ring.  Each operator, variable and constant
+is one ring operation, applied in the order of the text.  Constants
+go through `fields.scalar_from_string`, so a denominator that is zero
+in the field is an error, like a syntax error.  Errors are ParseErrors
+that carry the offending position.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
+from .fields import scalar_from_string
 
 VAR_RE = re.compile(r"(x[0-9]+|p[0-9]+(_[0-9]+)*)\Z")
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\s*/\s*\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
 
 
 def _tokenize(text):
@@ -90,8 +52,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text):
+    def __init__(self, text, ring):
         self.text = text
+        self.ring = ring
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -110,38 +73,38 @@ class _Parser:
         return self.take()
 
     def parse(self):
-        e = self.expr()
+        f = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input %r" % val, self.text, pos)
-        return e
+        return f
 
     def expr(self):
-        node = self.term()
+        f = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
                 rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                f = f + rhs if val == "+" else f - rhs
             else:
-                return node
+                return f
 
     def term(self):
-        node = self.unary()
+        f = self.unary()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                node = Mul(node, self.unary())
+                f = f * self.unary()
             else:
-                return node
+                return f
 
     def unary(self):
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return Neg(self.unary())
+            return -self.unary()
         return self.power()
 
     def power(self):
@@ -155,101 +118,30 @@ class _Parser:
             if kind2 != "const" or "/" in val2:
                 raise ParseError("exponent must be a nonnegative integer", self.text, pos2)
             self.take()
-            return Pow(base, int(val2))
+            return base ** int(val2)
         return base
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "const":
-            if "/" in val:
-                num, den = val.split("/")
-                return Const(Fraction(int(num), int(den)))
-            return Const(Fraction(int(val)))
+            try:
+                c = scalar_from_string(self.ring.field, val)
+            except InvalidInput as exc:
+                raise ParseError(str(exc), self.text, pos) from exc
+            return self.ring.const(c)
         if kind == "ident":
             if not VAR_RE.match(val):
                 raise ParseError("unknown identifier %r" % val, self.text, pos)
-            return Var(val)
+            if val not in self.ring._var_index:
+                raise ParseError("variable %r not in ring %r" % (val, self.ring.vars), self.text, pos)
+            return self.ring.var(val)
         if kind == "op" and val == "(":
-            e = self.expr()
+            f = self.expr()
             self.expect_op(")")
-            return e
+            return f
         raise ParseError("expected a value", self.text, pos)
 
 
-def parse_poly(text: str):
-    """Parse an expression into a PolyExpr tree."""
-    return _Parser(text).parse()
-
-
-# printing: precedence levels used to restore the exact tree shape
-_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node):
-    if isinstance(node, (Add, Sub)):
-        return _ADD
-    if isinstance(node, Mul):
-        return _MUL
-    if isinstance(node, Neg):
-        return _NEG
-    if isinstance(node, Pow):
-        return _POW
-    return _ATOM
-
-
-def _fmt(node, context):
-    if isinstance(node, Var):
-        s = node.name
-    elif isinstance(node, Const):
-        v = node.value
-        s = "%d/%d" % (v.numerator, v.denominator) if v.denominator != 1 else "%d" % v.numerator
-        if v < 0:
-            s = "(0 - %s)" % s[1:]  # canonical trees keep constants nonnegative
-        elif v.denominator != 1 and context >= _POW:
-            s = "(%s)" % s
-        return s if _prec(node) >= context or s.startswith("(") else "(%s)" % s
-    elif isinstance(node, Add):
-        s = "%s + %s" % (_fmt(node.left, _ADD), _fmt(node.right, _ADD + 1))
-    elif isinstance(node, Sub):
-        s = "%s - %s" % (_fmt(node.left, _ADD), _fmt(node.right, _ADD + 1))
-    elif isinstance(node, Mul):
-        s = "%s*%s" % (_fmt(node.left, _MUL), _fmt(node.right, _MUL + 1))
-    elif isinstance(node, Neg):
-        s = "-%s" % _fmt(node.arg, _NEG)
-    elif isinstance(node, Pow):
-        s = "%s^%d" % (_fmt(node.base, _ATOM), node.exp)
-    else:
-        raise TypeError("not a PolyExpr node: %r" % (node,))
-    if _prec(node) < context:
-        s = "(%s)" % s
-    return s
-
-
-def format_poly(node) -> str:
-    """Render a PolyExpr; parse(format(t)) == t for parser-produced trees."""
-    return _fmt(node, 0)
-
-
-def expr_to_poly(node, ring):
-    """Evaluate a PolyExpr into a polynomial of the given ring."""
-    if isinstance(node, Var):
-        if node.name not in ring._var_index:
-            raise ParseError("variable %r not in ring %r" % (node.name, ring.vars))
-        return ring.var(node.name)
-    if isinstance(node, Const):
-        return ring.const(ring.field.of(node.value))
-    if isinstance(node, Add):
-        return expr_to_poly(node.left, ring) + expr_to_poly(node.right, ring)
-    if isinstance(node, Sub):
-        return expr_to_poly(node.left, ring) - expr_to_poly(node.right, ring)
-    if isinstance(node, Mul):
-        return expr_to_poly(node.left, ring) * expr_to_poly(node.right, ring)
-    if isinstance(node, Neg):
-        return -expr_to_poly(node.arg, ring)
-    if isinstance(node, Pow):
-        return expr_to_poly(node.base, ring) ** node.exp
-    raise TypeError("not a PolyExpr node: %r" % (node,))
-
-
 def poly_from_string(text: str, ring):
-    return expr_to_poly(parse_poly(text), ring)
+    """The polynomial of `ring` that `text` spells."""
+    return _Parser(text, ring).parse()

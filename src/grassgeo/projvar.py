@@ -5,9 +5,9 @@ keeps the gradients.  One Jacobian evaluates them over the field or
 over its jets; it serves smooth-point tests by Jacobian rank, embedded
 tangent spaces and the jet probes of `associated`.  Also: exact point
 sampling (parametrizations over any field, roots of random line
-restrictions over prime fields for hypersurfaces), tangent-hyperplane
-witnesses, and dual varieties of complete intersections by Lagrange
-elimination.
+restrictions over prime fields for hypersurfaces), the tangent-hyperplane
+witnesses that `associated` builds, and dual varieties of complete
+intersections by Lagrange elimination.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import univariate
 from .errors import InvalidInput, SamplingError, Unsupported
-from .grassmann import Subspace, hyperplane_subspace, point_subspace
+from .grassmann import Subspace
 from .groebner import eliminate
 from .hilbert import hilbert_dim_degree
 from .linalg import Matrix
@@ -29,12 +29,12 @@ SAMPLE_RETRIES = 200
 class ProjVariety:
     """Z(gens) in P^n, optionally with a polynomial parametrization."""
 
-    def __init__(self, ring, gens, parametrization=None, check=True):
+    def __init__(self, ring, gens, parametrization=None):
         gens = tuple(g for g in gens if g)
         for g in gens:
             if g.ring != ring:
                 raise InvalidInput("generator outside the ambient ring")
-            if check and not g.is_homogeneous():
+            if not g.is_homogeneous():
                 raise InvalidInput("generators must be homogeneous")
         self.ring = ring
         self.gens = gens
@@ -45,10 +45,9 @@ class ProjVariety:
             pring, coords = parametrization
             if len(coords) != ring.nvars:
                 raise InvalidInput("parametrization needs %d coordinates" % ring.nvars)
-            if check:
-                for g in gens:
-                    if g.substitute(pring, list(coords)):
-                        raise InvalidInput("parametrization does not satisfy the ideal")
+            for g in gens:
+                if g.substitute(pring, list(coords)):
+                    raise InvalidInput("parametrization does not satisfy the ideal")
         self._dim_deg = None
         self._dual = None
 
@@ -169,31 +168,6 @@ def sample_smooth_point(v: ProjVariety, seed, height=12):
             if any(x) and v.is_smooth_point(x)[0]:
                 return x
     raise SamplingError("no smooth point found within budget")
-
-
-def tangent_hyperplanes_basis(v: ProjVariety, x):
-    """Rows spanning the normals of hyperplanes containing T_{X,x}."""
-    t = v.embedded_tangent_space(x)
-    return t.basis.nullspace()
-
-
-def conormal_witness_sample(v: ProjVariety, seed) -> ConormalWitness:
-    """(x, H) with the tangent space at x inside H, seeded choice of H."""
-    stream = Stream(seed, "witness")
-    x = sample_smooth_point(v, stream.spawn("pt").seed, height=12)
-    normals = tangent_hyperplanes_basis(v, x)
-    s = stream.spawn("hyp")
-    for _ in range(SAMPLE_RETRIES):
-        coeffs = s.vector(v.field, normals.nrows, 12)
-        h = normals.apply_row(coeffs)
-        if any(h):
-            return ConormalWitness(
-                x=point_subspace(v.field, x),
-                h=hyperplane_subspace(v.field, h),
-                point=tuple(x),
-                normal=tuple(h),
-            )
-    raise SamplingError("no tangent hyperplane found (degenerate tangent?)")
 
 
 def dual_variety(v: ProjVariety) -> ProjVariety:

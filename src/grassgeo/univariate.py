@@ -97,16 +97,6 @@ def evaluate(f, x):
     return acc
 
 
-def quo_rem(f, g):
-    """(q, r) with f = q*g + r and deg r < deg g, for nonzero g."""
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    field = _field_of(g)
-    k = field.kernel
-    q, r = _quo_rem(_unwrap(field, f), _unwrap(field, g), k)
-    return k.wrap(q), k.wrap(r)
-
-
 def gcd(f, g):
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     field = _field_of(f, g)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .poly import PolyRing, linear_combinations, standard_ring
+from .poly import PolyRing, standard_ring
 from .projvar import ProjVariety
 from .rng import Stream
 
@@ -93,24 +93,3 @@ def fermat_hypersurface(field, n, degree) -> ProjVariety:
     for x in ring.gens():
         f = f + x**degree
     return ProjVariety(ring, [f])
-
-
-def projective_transform(v: ProjVariety, matrix_rows) -> ProjVariety:
-    """Image of a parametrized variety under an invertible coordinate change.
-
-    The ideal transforms by substituting x -> x * M^{-1}; the
-    parametrization composes with M on the right.
-    """
-    from .linalg import Matrix
-
-    field = v.field
-    m = Matrix(field, matrix_rows)
-    minv = m.inverse()
-    ring = v.ring
-    images = linear_combinations(ring.gens(), minv.rows)
-    gens = [g.substitute(ring, images) for g in v.gens]
-    param = None
-    if v.parametrization is not None:
-        pring, coords = v.parametrization
-        param = (pring, tuple(linear_combinations(coords, m.rows)))
-    return ProjVariety(ring, gens, parametrization=param)

@@ -54,11 +54,10 @@ from grassgeo.osc import (
     projective_equal_points,
     ParamCurve,
 )
-from grassgeo.poly import Ideal, PolyRing
-from grassgeo.projvar import dual_variety
+from grassgeo.poly import Ideal, PolyRing, linear_combinations
+from grassgeo.projvar import ProjVariety, dual_variety
 from grassgeo.rng import Stream
 from grassgeo.varieties import (
-    projective_transform,
     quadric_surface,
     random_hypersurface,
     rational_normal_curve,
@@ -67,6 +66,26 @@ from grassgeo.varieties import (
 )
 
 F = GF(32003)
+
+
+# -- reference: a coordinate change only these tests apply ----------------------------------------------
+
+
+def projective_transform(v: ProjVariety, matrix_rows) -> ProjVariety:
+    """Image of a parametrized variety under an invertible coordinate change.
+
+    The ideal transforms by substituting x -> x * M^{-1}; the
+    parametrization composes with M on the right.
+    """
+    m = Matrix(v.field, matrix_rows)
+    ring = v.ring
+    images = linear_combinations(ring.gens(), m.inverse().rows)
+    gens = [g.substitute(ring, images) for g in v.gens]
+    param = None
+    if v.parametrization is not None:
+        pring, coords = v.parametrization
+        param = (pring, tuple(linear_combinations(coords, m.rows)))
+    return ProjVariety(ring, gens, parametrization=param)
 
 
 def _verdict(num, name, ok):

@@ -169,6 +169,40 @@ def test_exit_codes(case, tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and message in err
 
 
+# each text input with a literal {c} whose denominator is zero in the field
+ZERO_DENOMINATOR_INPUTS = {
+    "contact-f": (["contact", "--f", "x0^3 + x1^3 + x2^3 + {c}*x3^3", "--n", "3", "--m", "3"], None),
+    "variety-generators": (["chow", "--variety", "{file}"], {"n": 3, "generators": ["x0*x3 - {c}*x1*x2"]}),
+    "variety-coords": (
+        ["chow", "--variety", "{file}"],
+        {
+            "n": 3,
+            "generators": ["x0*x3 - x1*x2"],
+            "parametrization": {"params": ["p0", "p1"], "coords": ["1", "p0", "p1", "{c}*p0*p1"]},
+        },
+    ),
+    "curve": (["osc", "--curve", "{file}", "--k", "1"], {"coords": ["1", "p0", "{c}*p0^2", "p0^3"]}),
+    "classify-family-scalar": (
+        ["classify-family", "--input", "{file}"],
+        {"n": 3, "samples": [{"subspace": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+                              "homs": [[["0", "0"], ["{c}", "0"]]]}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("literal, field", [("1/0", "q"), ("1/0", "fp:32003"), ("1/32003", "fp:32003")])
+@pytest.mark.parametrize("case", sorted(ZERO_DENOMINATOR_INPUTS))
+def test_a_zero_denominator_is_an_input_error(case, literal, field, tmp_path, capsys):
+    argv, spec = ZERO_DENOMINATOR_INPUTS[case]
+    path = tmp_path / "input.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec).replace("{c}", literal))
+    argv = [a.replace("{c}", literal).replace("{file}", str(path)) for a in argv]
+    assert main(argv + ["--field", field]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "%r has a zero denominator in" % literal in err
+
+
 def test_each_command_takes_only_the_options_it_reads(capsys):
     parser = grassgeo.cli.build_parser()
     for name, (_, used) in grassgeo.cli.COMMANDS.items():

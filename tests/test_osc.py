@@ -5,6 +5,7 @@ from grassgeo.fields import GF, QQ
 from grassgeo.grassmann import (
     TANGENT,
     HomSpace,
+    Subspace,
     adapted_basis,
     homs_with_image_in,
     homs_with_kernel_containing,
@@ -18,12 +19,26 @@ from grassgeo.osc import (
     osc_family_space,
     osc_tangent_hom,
     osculating_space,
-    project_away,
     projective_equal_points,
     sigma_shift,
 )
 from grassgeo.poly import PolyRing
 from grassgeo.rng import Stream
+
+
+# -- references: curve and projection helpers only these tests use -----------------------------------
+
+
+def span_dim(c: ParamCurve):
+    return c.span().ell
+
+
+def project_away(subspace: Subspace, center_adapted) -> Subspace:
+    """Image of a subspace containing the center under the projection
+    away from the center (coordinates: the adapted quotient)."""
+    a = center_adapted
+    m = a.quotient_coords(subspace.basis).row_space_basis()
+    return Subspace(a.field, a.n - a.ell - 1, m, check=False)
 
 
 def _rnc(field, n):
@@ -152,7 +167,7 @@ def test_dual_of_degenerate_curve_inside_span():
     t = ring.var(0)
     # plane conic embedded in P3 (last coordinate a combination)
     c = ParamCurve(QQ, [ring.one(), t, t**2, t**2 + t])
-    assert c.span_dim() == 2
+    assert span_dim(c) == 2
     d = dual_curve(c)
     assert d.n == 2
     assert d.span_basis is not None

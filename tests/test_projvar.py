@@ -2,14 +2,17 @@ import pytest
 
 from grassgeo.errors import SamplingError
 from grassgeo.fields import GF, QQ
+from grassgeo.grassmann import hyperplane_subspace, point_subspace
 from grassgeo.groebner import normal_form
 from grassgeo.poly import Ideal, standard_ring
 from grassgeo.projvar import (
+    SAMPLE_RETRIES,
+    ConormalWitness,
     ProjVariety,
-    conormal_witness_sample,
     dual_variety,
     sample_smooth_point,
 )
+from grassgeo.rng import Stream
 from grassgeo.varieties import (
     fermat_hypersurface,
     hypersurface,
@@ -82,6 +85,28 @@ def test_sample_smooth_point_singular_only_errors():
         sample_smooth_point(v, seed=1)
 
 
+# -- reference: a tangent-hyperplane witness only these tests draw ---------------------------------------
+
+
+def conormal_witness_sample(v, seed):
+    """(x, H) with the tangent space at x inside H, seeded choice of H."""
+    stream = Stream(seed, "witness")
+    x = sample_smooth_point(v, stream.spawn("pt").seed, height=12)
+    normals = v.embedded_tangent_space(x).basis.nullspace()
+    s = stream.spawn("hyp")
+    for _ in range(SAMPLE_RETRIES):
+        coeffs = s.vector(v.field, normals.nrows, 12)
+        h = normals.apply_row(coeffs)
+        if any(h):
+            return ConormalWitness(
+                x=point_subspace(v.field, x),
+                h=hyperplane_subspace(v.field, h),
+                point=tuple(x),
+                normal=tuple(h),
+            )
+    raise SamplingError("no tangent hyperplane found (degenerate tangent?)")
+
+
 def test_conormal_witness_quadric_forced():
     v = quadric_surface(QQ)
     w = conormal_witness_sample(v, seed=5)
@@ -90,8 +115,6 @@ def test_conormal_witness_quadric_forced():
     assert w.h.contains(t)
     # hypersurface: the tangent hyperplane is unique, H = Z(grad f(x))
     grad = [v.gens[0].diff(i).evaluate([v.field.of(c) for c in w.point]) for i in range(4)]
-    from grassgeo.grassmann import hyperplane_subspace
-
     assert w.h.same_as(hyperplane_subspace(v.field, grad))
 
 
