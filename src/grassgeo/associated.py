@@ -1,13 +1,17 @@
 """Higher associated varieties: planes meeting a variety non-transversely.
 
 A sample of the level-ell family is an ell-plane L through a smooth
-point x of X inside a tangent hyperplane H.  Conormal spaces come in
-closed form (all maps kill (T+L)/L and send the quotient into the
-span of x); tangent spaces are produced independently by
-differentiating the (x, H, L) incidence construction with first-order
-jets and pushing along the row-space chart.  Chow/Hurwitz forms are
-computed by eliminating the point variables from Pluecker-linear
-incidence equations.
+point x of X inside a tangent hyperplane H = Z(h).  Conormal spaces
+come in two closed forms, both read off data at the sample: below
+codim X every map kills (T+L)/L and sends the quotient into the span
+of x; from codim X on the maps are h (x) w for w in L and in the cone
+over the contact locus of H, the kernel on the tangent space of the
+second fundamental form in the direction h (Griffiths-Harris).
+Tangent spaces are produced independently by differentiating the
+(x, H, L) incidence construction with first-order jets and pushing
+along the row-space chart.  Chow/Hurwitz forms are computed by
+eliminating the point variables from Pluecker-linear incidence
+equations.
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from .grassmann import (
     adapted_basis,
     hyperplane_subspace,
     perp_dual,
-    perp_dual_space,
     pluecker_relations,
     pluecker_ring,
     pluecker_var_name,
     point_subspace,
-    rebase_hom,
     stiefel_differential,
     _sorted_index_sign,
 )
@@ -61,12 +63,13 @@ class AssociatedSample:
     witness: ConormalWitness
     config: WitnessConfig
     tangent_at_x: Subspace
+    jacobian: Matrix  # at x, one row per generator
 
 
 def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
     """Evaluate the configuration over a field or jet ring.
 
-    Returns (x, tangent rows, h, hyperplane basis rows, L rows).
+    Returns (x, Jacobian at x, tangent rows, h, L rows).
     Raises NonGeneralConfiguration when ranks degenerate.
     """
     _, coords = v.parametrization
@@ -74,7 +77,8 @@ def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
     x = tuple(c.evaluate(theta) for c in coords)
     if not any(x):
         raise NonGeneralConfiguration("parametrization hit the base locus")
-    tangent = v.jacobian_at(x, ring).nullspace()
+    jacobian = v.jacobian_at(x, ring)
+    tangent = jacobian.nullspace()
     if tangent.nrows != v.dimension() + 1:
         raise NonGeneralConfiguration("tangent rank drop at sample")
     normals = tangent.nullspace()
@@ -86,7 +90,7 @@ def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
     for row in cfg.l_coeffs:
         l_rows.append(list(hbasis.apply_row([ring.of(c) for c in row])))
     lmat = Matrix(ring, l_rows)
-    return x, tangent, h, hbasis, lmat
+    return x, jacobian, tangent, h, lmat
 
 
 def _draw_configuration(v: ProjVariety, ell, s: Stream) -> WitnessConfig:
@@ -111,7 +115,7 @@ def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
     for k in range(SAMPLE_RETRIES):
         cfg = _draw_configuration(v, ell, stream.spawn(k))
         try:
-            x, tangent, h, hbasis, lmat = _build_configuration(v, ell, field, cfg)
+            x, jacobian, tangent, h, lmat = _build_configuration(v, ell, field, cfg)
         except NonGeneralConfiguration:
             continue
         if lmat.rank() != ell + 1:
@@ -129,7 +133,7 @@ def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
         )
         tsub = Subspace(field, n, tangent, check=False)
         assert hsub.contains(tsub) and hsub.contains(sub) and sub.contains_point(x)
-        return AssociatedSample(ell, sub, witness, cfg, tsub)
+        return AssociatedSample(ell, sub, witness, cfg, tsub, jacobian)
     raise SamplingError("no general associated sample found")
 
 
@@ -143,54 +147,33 @@ def _rank_one_conormals(adapted: AdaptedBasis, kernel_quotient_rows: Matrix, ima
     return HomSpace(CONORMAL, a, mats)
 
 
-def associated_conormal(sample: AssociatedSample, v: ProjVariety, dual: ProjVariety = None) -> HomSpace:
-    """Conormal space of the level-ell family at the sampled plane.
+def associated_conormal(sample: AssociatedSample, v: ProjVariety) -> HomSpace:
+    """Conormal space of the level-ell family at the sampled plane, in closed form.
 
-    Low range (ell <= codim-1): every map kills (T+L)/L and maps into
-    the span of x; dimension n - ell - dim X, all ranks <= 1.  The
-    hypersurface range uses the sample's witness (assumed unique at a
-    general sample).  Above the dual dimension the computation runs on
-    the dual variety and transports back; when no dual is supplied and
-    none is computable, the witness formula is used, which is only
-    valid through the hypersurface range (levels up to the dual
-    dimension) - pass `dual` explicitly beyond it.
+    Below codim X (ell <= codim-1) every map kills (T+L)/L and maps into
+    the span of x: dimension n - ell - dim X, all ranks <= 1.
+
+    From codim X on, with H = Z(h) and h = lambda . J(x), let
+    Q = sum_i lambda_i Hess g_i(x) and let Lambda be the w in T with
+    Q(w, T) = 0: the cone over the contact locus of H, which contains x
+    by Euler's formula.  The maps are h (x) w for w in L and Lambda,
+    each killing H/L.  Through the dual dimension L meets Lambda in x
+    alone and the space is spanned by h (x) x; above it the dimension is
+    ell + 1 - dim X^dual.  Everything is read off the sample: its
+    Jacobian, its tangent space and its normal h, which vanishes on L,
+    so h's entries at the complement columns are the quotient functional.
     """
-    ell = sample.ell
-    c = v.codim()
     a = adapted_basis(sample.subspace)
-    if ell <= c - 1:
+    if sample.ell <= v.codim() - 1:
         return _rank_one_conormals(a, a.quotient_coords(sample.tangent_at_x.basis), sample.witness.point)
-    if dual is None:
-        try:
-            dual = dual_variety(v)
-        except Unsupported:
-            pass
-    if dual is None or ell <= dual.dimension():
-        # hypersurface range: single witness (x, H)
-        return _rank_one_conormals(a, a.quotient_coords(sample.witness.h.basis), sample.witness.point)
-    # alpha range: run the beta formula on the dual side and pull back
-    n = v.n
-    field = v.field
-    lperp = perp_dual(sample.subspace)
-    xprime = sample.witness.normal  # H as a point of the dual space
-    on_dual, tprime = _dual_tangent(dual, xprime)
-    if not on_dual:
-        raise NonGeneralConfiguration("dual witness point off the dual variety")
-    if tprime is None:
-        raise NonGeneralConfiguration("dual witness point singular")
-    ad = adapted_basis(lperp)
-    dual_space = _rank_one_conormals(ad, ad.quotient_coords(tprime.basis), xprime)
-    back = perp_dual_space(dual_space)
-    # re-express over the sample's own adapted basis
-    rebased = [rebase_hom(h, a).matrix for h in back.homs()]
-    return HomSpace(CONORMAL, a, rebased)
-
-
-def _dual_tangent(dual: ProjVariety, xprime):
-    """(x' on the dual?, its tangent space there from one Jacobian, None off the dual or singular)."""
-    if not dual.contains_point(xprime):
-        return False, None
-    return True, dual.smooth_tangent_space(xprime)
+    jacobian, h = sample.jacobian, sample.witness.normal
+    lam = jacobian.transpose().solve(h)  # h is in J's row space: the tangent space is J's kernel
+    form = sample.tangent_at_x.basis @ v.hessian_at(sample.witness.point, lam)
+    on_l = jacobian.stack(form) @ sample.subspace.basis.transpose()  # its kernel: L meet Lambda
+    hbar = tuple(h[col] for col in a.complement_columns)
+    k = a.ell + 1
+    mats = [Matrix._of(a.field, tuple(tuple(hc * wj for wj in w) for hc in hbar), k) for w in on_l.nullspace().rows]
+    return HomSpace(CONORMAL, a, mats)
 
 
 def associated_tangent_pushforward(sample: AssociatedSample, v: ProjVariety, seed=0) -> HomSpace:
@@ -225,7 +208,7 @@ def associated_tangent_pushforward(sample: AssociatedSample, v: ProjVariety, see
         )
         jcfg = WitnessConfig(theta, h_coeffs, l_coeffs)
         try:
-            _, _, _, _, lmat = _build_configuration(v, sample.ell, jr, jcfg)
+            lmat = _build_configuration(v, sample.ell, jr, jcfg)[-1]
         except NonGeneralConfiguration:
             continue
         values = Matrix(field, [[e.a for e in row] for row in lmat.rows])
@@ -376,7 +359,8 @@ def transported_dual_sample(sample: AssociatedSample, v: ProjVariety, dual: Proj
     xprime = sample.witness.normal
     hprime = hyperplane_subspace(field, sample.witness.point)
     checks = []
-    on_dual, tprime = _dual_tangent(dual, xprime)
+    on_dual = dual.contains_point(xprime)
+    tprime = dual.smooth_tangent_space(xprime) if on_dual else None  # one Jacobian; None where singular
     checks.append(("dual point on dual variety", on_dual))
     if on_dual:
         checks.append(("dual point smooth", tprime is not None))

@@ -50,6 +50,7 @@ expansions of the cleared rows, wrapped once in the same way.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -531,12 +532,21 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def int_from_string(s: str) -> int:
+    """int(s) for a decimal literal; one longer than Python converts is an InvalidInput."""
+    digits = s.strip().lstrip("+-")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise InvalidInput("integer literal of %d digits exceeds the limit of %d" % (len(digits), limit))
+    return int(s)
+
+
 def field_from_tag(tag: str):
     """Parse a CLI field tag: 'q' or 'fp:<prime>'."""
     if tag == "q":
         return QQ
     if tag.startswith("fp:") and tag[3:].isdecimal():
-        return GF(int(tag[3:]))
+        return GF(int_from_string(tag[3:]))
     if tag == "fp":
         return GF(DEFAULT_PRIME)
     raise InvalidInput("unknown field tag %r (expected 'q' or 'fp:<prime>')" % tag)
@@ -545,13 +555,14 @@ def field_from_tag(tag: str):
 def scalar_from_string(field, s: str):
     """Parse 'num/den' or integer literals into a field element.
 
-    A denominator that is zero in the field is an InvalidInput.
+    A denominator that is zero in the field, or a literal longer than
+    Python converts to an int, is an InvalidInput.
     """
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        den = int(den)
+        den = int_from_string(den)
         if den == 0 or field.p and den % field.p == 0:
             raise InvalidInput("%r has a zero denominator in %r" % (s, field))
-        return field.of(Fraction(int(num), den))
-    return field.of(int(s))
+        return field.of(Fraction(int_from_string(num), den))
+    return field.of(int_from_string(s))

@@ -65,9 +65,6 @@ class Subspace:
             return False
         return self.basis.row_space_basis() == other.basis.row_space_basis()
 
-    def reduced(self) -> "Subspace":
-        return Subspace(self.field, self.n, self.basis.row_space_basis(), check=False)
-
     def __repr__(self):
         return "Subspace(ell=%d, n=%d)" % (self.ell, self.n)
 

@@ -56,11 +56,13 @@ def _numerator(gens):
             d = sum(e)
             num = _series_add(num, {k + d: -c for k, c in num.items()})
         return num
-    # pivot on the most frequent variable
+    # pivot on the most frequent variable of a mixed generator: a variable whose only generator is its
+    # own power would give back the same ideal
     counts = {}
     for s in supports:
-        for i in s:
-            counts[i] = counts.get(i, 0) + 1
+        if len(s) > 1:
+            for i in s:
+                counts[i] = counts.get(i, 0) + 1
     pivot = max(sorted(counts), key=lambda i: counts[i])
     n = len(gens[0])
     pvt = tuple(1 if i == pivot else 0 for i in range(n))

@@ -13,9 +13,11 @@ CONST is a nonnegative integer or a rational literal NAT/NAT ('/' is
 not an operator).  VAR matches x<digits> or p<digits>(_<digits>)* and
 must be a variable of the ring.  Each operator, variable and constant
 is one ring operation, applied in the order of the text.  Constants
-go through `fields.scalar_from_string`, so a denominator that is zero
-in the field is an error, like a syntax error.  Errors are ParseErrors
-that carry the offending position.
+go through `fields.scalar_from_string` and exponents through
+`fields.int_from_string`, so a denominator that is zero in the field,
+or a literal longer than Python converts to an int, is an error, like
+a syntax error.  Errors are ParseErrors that carry the offending
+position.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidInput, ParseError
-from .fields import scalar_from_string
+from .fields import int_from_string, scalar_from_string
 
 VAR_RE = re.compile(r"(x[0-9]+|p[0-9]+(_[0-9]+)*)\Z")
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\s*/\s*\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
@@ -118,7 +120,11 @@ class _Parser:
             if kind2 != "const" or "/" in val2:
                 raise ParseError("exponent must be a nonnegative integer", self.text, pos2)
             self.take()
-            return base ** int(val2)
+            try:
+                e = int_from_string(val2)
+            except InvalidInput as exc:
+                raise ParseError(str(exc), self.text, pos2) from exc
+            return base**e
         return base
 
     def atom(self):

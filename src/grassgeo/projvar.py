@@ -1,13 +1,16 @@
 """Projective varieties as homogeneous ideals.
 
 A variety differentiates its generators once, when it is made, and
-keeps the gradients.  One Jacobian evaluates them over the field or
+keeps the gradients; their own gradients, the Hessians, it derives on
+first use.  One Jacobian evaluates the gradients over the field or
 over its jets; it serves smooth-point tests by Jacobian rank, embedded
-tangent spaces and the jet probes of `associated`.  Also: exact point
-sampling (parametrizations over any field, roots of random line
-restrictions over prime fields for hypersurfaces), the tangent-hyperplane
-witnesses that `associated` builds, and dual varieties of complete
-intersections by Lagrange elimination.
+tangent spaces and the jet probes of `associated`.  A weighted sum of
+Hessians at a point gives the second fundamental form behind the
+conormal spaces of `associated`.  Also: exact point sampling
+(parametrizations over any field, roots of random line restrictions
+over prime fields for hypersurfaces), the tangent-hyperplane witnesses
+that `associated` builds, and dual varieties of complete intersections
+by Lagrange elimination.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ class ProjVariety:
         self.ring = ring
         self.gens = gens
         self.gradients = tuple(g.gradient() for g in gens)
+        self._hessians = None
         self.ideal = Ideal(ring, gens)
         self.parametrization = parametrization
         if parametrization is not None:
@@ -86,6 +90,28 @@ class ProjVariety:
         ring = self.field if ring is None else ring
         pt = [ring.of(v) for v in x]
         return Matrix(ring, [[d.evaluate(pt) for d in grad] for grad in self.gradients], self.ring.nvars)
+
+    @property
+    def hessians(self):
+        """Per generator g, its nonzero second partials (j, k, d_j d_k g) with j <= k, derived on first use."""
+        if self._hessians is None:
+            self._hessians = tuple(
+                tuple((j, k, d) for j, dj in enumerate(grad) for k, d in enumerate(dj.gradient()) if k >= j and d)
+                for grad in self.gradients
+            )
+        return self._hessians
+
+    def hessian_at(self, x, weights):
+        """sum_i weights[i] * Hess g_i(x), the symmetric (n+1)-square matrix, over the field."""
+        field, size = self.field, self.ring.nvars
+        pt = [field.of(v) for v in x]
+        q = [[field.zero] * size for _ in range(size)]
+        for w, entries in zip(weights, self.hessians):
+            if w:
+                for j, k, d in entries:
+                    q[j][k] = q[j][k] + w * d.evaluate(pt)
+        rows = tuple(tuple(q[j][k] if j <= k else q[k][j] for k in range(size)) for j in range(size))
+        return Matrix._of(field, rows, size)
 
     def is_smooth_point(self, x):
         """(smooth?, tangent dimension); raises if x is off the variety."""

@@ -160,7 +160,7 @@ def test_a_known_rref_is_not_eliminated_again(monkeypatch):
 
 # -- counts per report ---------------------------------------------------------------------------------
 
-ASSOCIATED_REPORT = "sample-associated --variety segre-2x4 --ell 4 --field q".split()
+ASSOCIATED_REPORT = "sample-associated --variety segre-2x4 --ell %d --field q"
 CONTACT_REPORT = ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3 + 13041*x0*x1*x2", "--n", "3", "--m", "3",
                   "--field", "fp:32003", "--samples", "10", "--seed", "130362"]
 
@@ -192,12 +192,18 @@ def test_an_associated_report_inverts_kept_blocks_and_eliminates_each_matrix_onc
     recorded("nullspace", lambda self, out: reduced.append(out))
     clear = fields._cleared
     monkeypatch.setattr(fields, "_cleared", lambda row: cleared.append(1) or clear(row))
-    _run(ASSOCIATED_REPORT)
-    # one 5-square kept block per sample's adapted basis, where the 8-square full matrix was inverted before
-    assert inverted == [5] * 5
-    known = {id(m) for m in reduced}  # `reduced` keeps them alive, so their ids stay theirs
-    assert eliminated and not any(id(m) in known for m in eliminated)
-    assert len(cleared) == 785  # 1210 before
+    # below codim X = 3 the conormal maps read quotient coordinates: one 3-square kept block per
+    # sample's adapted basis, where the 8-square full matrix was inverted before
+    # from codim X on they are read off the sample's normal and Jacobian, with no inverse: at level 4
+    # the witness formula inverted a 5-square block per sample with 785 clearings
+    for ell, inverses, clearings in ((2, [3] * 5, 625), (4, [], 805)):
+        for record in (inverted, eliminated, reduced, cleared):
+            record.clear()
+        _run((ASSOCIATED_REPORT % ell).split())
+        assert inverted == inverses
+        known = {id(m) for m in reduced}  # `reduced` keeps them alive, so their ids stay theirs
+        assert eliminated and not any(id(m) in known for m in eliminated)
+        assert len(cleared) == clearings
 
 
 def test_a_contact_report_coerces_only_its_inputs(monkeypatch):

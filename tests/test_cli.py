@@ -203,6 +203,35 @@ def test_a_zero_denominator_is_an_input_error(case, literal, field, tmp_path, ca
     assert err.startswith("error: ") and "%r has a zero denominator in" % literal in err
 
 
+# a literal of 5 000 digits in each place where an int is read from text, under Python's default limit
+LONG_LITERAL_INPUTS = {
+    "coefficient": ["contact", "--f", "{c}*x0^3 + x1^3 + x2^3 + x3^3", "--n", "3", "--m", "3"],
+    "exponent": ["contact", "--f", "x0^{c} + x1^3 + x2^3 + x3^3", "--n", "3", "--m", "3"],
+    "field-modulus": ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3", "--n", "3", "--m", "3", "--field", "fp:{c}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_LITERAL_INPUTS))
+def test_an_integer_literal_too_long_to_convert_is_an_input_error(case, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main([a.replace("{c}", "1" * 5000) for a in LONG_LITERAL_INPUTS[case]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: integer literal of 5000 digits exceeds the limit of 4300")
+
+
+def test_the_union_of_two_lines_dualizes(tmp_path, capsys):
+    path = tmp_path / "two-lines.json"
+    path.write_text(json.dumps({"n": 3, "generators": ["x0", "x1*x2"]}))
+    code, rep = _run(capsys, ["dualize", "--variety", str(path)])
+    assert code == 0
+    assert rep["results"]["generators"] == ["x3", "x1*x2"]
+
+
 def test_each_command_takes_only_the_options_it_reads(capsys):
     parser = grassgeo.cli.build_parser()
     for name, (_, used) in grassgeo.cli.COMMANDS.items():

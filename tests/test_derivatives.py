@@ -3,7 +3,9 @@
 A variety differentiates its generators when it is made and a curve its
 coordinates; sampling then only evaluates.  The one Jacobian,
 `ProjVariety.jacobian_at`, is checked against reduction mod p and, over
-jets, against the Hessian built from a second `gradient()`.
+jets, against the Hessian built from a second `gradient()`; the
+weighted Hessian `ProjVariety.hessian_at` against the same second
+gradients.
 `Poly.evaluate` is checked against a term-by-term reference.
 """
 
@@ -161,6 +163,26 @@ def test_jet_jacobian_is_the_jacobian_plus_the_hessian_along_the_slope(name, fie
             [sum((hij.evaluate(x) * wj for hij, wj in zip(hi, w)), field.zero) for hi in h] for h in hessians
         ]
         assert [[e.b for e in row] for row in jet.rows] == slopes
+
+
+HESSIAN_VARIETIES = dict(BUILTIN_VARIETIES, **{"fermat-cubic": lambda field: fermat_hypersurface(field, 3, 3)})
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", sorted(HESSIAN_VARIETIES))
+def test_the_weighted_hessian_is_the_weighted_sum_of_second_gradients(name, field):
+    v = HESSIAN_VARIETIES[name](field)
+    rng = random.Random("hessian/%s/%r" % (name, field))
+    hessians = [[d.gradient() for d in grad] for grad in v.gradients]
+    assert v.hessians is v.hessians  # derived once
+    for _ in range(4):
+        x = [field.of(rng.randrange(-9, 10)) for _ in range(v.n + 1)]
+        weights = [field.of(rng.randrange(-3, 4)) for _ in v.gens]
+        want = [
+            [sum((wi * h[j][k].evaluate(x) for wi, h in zip(weights, hessians)), field.zero) for k in range(v.n + 1)]
+            for j in range(v.n + 1)
+        ]
+        assert v.hessian_at(x, weights) == Matrix(field, want)
 
 
 def test_tangent_space_needs_a_smooth_point_of_the_variety():

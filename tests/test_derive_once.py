@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from grassgeo import contact, grassmann, isoclass, univariate
+from grassgeo import associated, contact, grassmann, isoclass, univariate
 from grassgeo.associated import associated_conormal, sample_associated, transported_dual_sample
 from grassgeo.cli import main
 from grassgeo.contact import (
@@ -125,13 +125,24 @@ def test_the_dual_side_evaluates_one_jacobian(monkeypatch):
         assert all(ok for _, ok in checks) and len(checks) == 6
         assert calls == [dual]
         monkeypatch.undo()
-    v, dual = segre(F, 2, 4), segre(F, 2, 4)
+    v = segre(F, 2, 4)
     for ell in (5, 6):
         s = sample_associated(v, ell, seed=3)
         calls = _counter(monkeypatch, ProjVariety, "jacobian_at")
-        assert associated_conormal(s, v, dual=dual).dim
-        assert calls == [dual]
+        assert associated_conormal(s, v).dim
+        assert calls == []  # the sample keeps the Jacobian it was drawn with
         monkeypatch.undo()
+
+
+def test_a_conormal_space_evaluates_no_jacobian_and_no_dual_variety(monkeypatch):
+    for v in (quadric_surface(QQ), segre(F, 2, 4)):
+        for ell in range(v.n):
+            s = sample_associated(v, ell, seed=5)
+            jacobians = _counter(monkeypatch, ProjVariety, "jacobian_at")
+            duals = _counter(monkeypatch, associated, "dual_variety")
+            assert associated_conormal(s, v).dim
+            assert jacobians == [] and duals == []
+            monkeypatch.undo()
 
 
 # -- contact sampling does only the algebra it reads -------------------------------------------------

@@ -7,10 +7,11 @@ import pytest
 from grassgeo.errors import FieldMismatch, UnsupportedArity
 from grassgeo.fields import GF, QQ, Fp, is_prime
 from grassgeo.groebner import buchberger, eliminate, groebner, normal_form
-from grassgeo.hilbert import hilbert_dim_degree, local_multiplicity
+from grassgeo.hilbert import _numerator, hilbert_dim_degree, local_multiplicity
 from grassgeo.jets import JetRing
 from grassgeo.linalg import Matrix
 from grassgeo.poly import DEGREVLEX, LEX, Ideal, PolyRing
+from grassgeo.varieties import segre
 
 
 F = GF(101)
@@ -401,6 +402,47 @@ def test_hilbert_unit_ideal():
     assert hilbert_dim_degree(Ideal(R, [R.one()])) == (-1, 0)
     # homogeneous generators whose basis reveals the unit ideal
     assert hilbert_dim_degree(Ideal(R, [x0, x1, R.one()])) == (-1, 0)
+
+
+def _brute_force_numerator(gens, n):
+    """(sum_d H(d) t^d) * (1-t)^n by counting standard monomials up to the degree of the lcm of gens."""
+    top = sum(max(e[i] for e in gens) for i in range(n))
+    hilb = [0] * (top + 1)
+    for d in range(top + 1):
+        for c in combinations(range(n + d - 1), n - 1):  # stars and bars: the monomials of degree d
+            cuts = (-1,) + c + (n + d - 1,)
+            e = tuple(cuts[i + 1] - cuts[i] - 1 for i in range(n))
+            if not any(all(a <= b for a, b in zip(g, e)) for g in gens):
+                hilb[d] += 1
+    num = hilb
+    for _ in range(n):
+        num = [num[0]] + [num[d] - num[d - 1] for d in range(1, top + 1)]
+    return {d: c for d, c in enumerate(num) if c}
+
+
+def test_hilbert_numerator_matches_brute_force():
+    # the linear and pure-power generators are the ones a pivot on their own variable would give back
+    assert _numerator([(1, 0, 0), (0, 1, 1)]) == _brute_force_numerator([(1, 0, 0), (0, 1, 1)], 3)
+    rng = random.Random(20)
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * n
+            kind = rng.random()
+            if kind < 0.3:
+                e[rng.randrange(n)] = 1
+            elif kind < 0.5:
+                e[rng.randrange(n)] = rng.randint(2, 3)
+            else:
+                for i in rng.sample(range(n), rng.randint(2, n)):
+                    e[i] = rng.randint(1, 2)
+            gens.append(tuple(e))
+        assert _numerator(gens) == _brute_force_numerator(gens, n), gens
+
+
+def test_segre_p2_times_p2_has_dimension_four_and_degree_six():
+    assert segre(GF(32003), 3, 3).dim_degree() == (4, 6)
 
 
 def test_groebner_idempotent():

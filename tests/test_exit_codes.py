@@ -8,7 +8,8 @@ process, and the three commands that run out of budget are pinned to
 their exact spend, which fixes the budget's unit.  A change to the
 linear algebra or the root finding behind the sampling reports shows up
 the same way, so the `sampling-q` and `sampling-fp` plans run at four
-seeds and the `contact-roots` plan at one.
+seeds and the `contact-roots` plan at one.  The `segre-2x4` levels
+above its dual dimension, which those plans leave out, run here too.
 """
 
 import contextlib
@@ -58,6 +59,18 @@ def test_every_elimination_report_exits_zero(seed, tmp_path, monkeypatch):
 def test_every_sampling_and_contact_report_exits_zero(workload, seed, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _every_report_exits_zero(workload, seed)
+
+
+@pytest.mark.parametrize("field", ["fp:32003", "q"])
+@pytest.mark.parametrize("ell, conormal_dim", [(5, 2), (6, 3)])
+def test_segre_reports_above_the_dual_dimension(ell, conormal_dim, field):
+    # segre-2x4 has dual dimension 4, so its levels 5 and 6 have conormal dimension ell + 1 - 4
+    argv = ["sample-associated", "--variety", "segre-2x4", "--ell", str(ell), "--field", field, "--seed", "7"]
+    code, out, err = _run(argv)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert [s["conormal_dim"] for s in report["results"]["samples"]] == [conormal_dim] * 5
 
 
 @pytest.mark.parametrize(
