@@ -3,8 +3,11 @@
 
 The lines of P^3 that meet the twisted cubic form a hypersurface in
 the Pluecker quadric; its defining form has the curve's degree.  The
-same elimination machinery gives the degree of every associated
-hypersurface: the polar degrees.
+polar degrees are the degrees of every associated hypersurface: the
+Chow level's is the degree of the variety, the Hurwitz level's comes
+from the same elimination, and the range of positive levels ends at
+the dual dimension, read off the second fundamental form at sampled
+smooth points.
 """
 
 from grassgeo.associated import chow_hurwitz_ideal, hypersurface_range, polar_degree

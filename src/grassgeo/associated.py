@@ -10,8 +10,8 @@ second fundamental form in the direction h (Griffiths-Harris).
 Tangent spaces are produced independently by differentiating the
 (x, H, L) incidence construction with first-order jets and pushing
 along the row-space chart.  Chow/Hurwitz forms are computed by
-eliminating the point variables from Pluecker-linear incidence
-equations.
+eliminating the parameters from Pluecker-linear incidence equations;
+polar degrees read deg X and the second fundamental form instead.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ from .grassmann import (
     _sorted_index_sign,
 )
 from .groebner import eliminate, groebner, normal_form
-from .hilbert import hilbert_dim_degree
 from .jets import JetRing
 from .linalg import Matrix
 from .poly import DEGREVLEX, Ideal, PolyRing, normalized_generators
-from .projvar import ConormalWitness, ProjVariety, dual_variety
+from .projvar import ConormalWitness, ProjVariety, dual_variety, sample_smooth_point
 from .rng import Stream
 
 SAMPLE_RETRIES = 60
+RANGE_SAMPLES = 3  # smooth points read for the dual dimension, which keeps the largest reading
 
 
 @dataclass
@@ -109,7 +109,7 @@ def sample_associated(v: ProjVariety, ell, seed) -> AssociatedSample:
     if not (0 <= ell <= n - 1):
         raise InvalidInput("need 0 <= ell <= n-1")
     if v.parametrization is None:
-        raise SamplingError("associated sampling needs a parametrized variety")
+        raise Unsupported("associated sampling needs a parametrized variety")
     field = v.field
     stream = Stream(seed, "associated", ell)
     for k in range(SAMPLE_RETRIES):
@@ -264,45 +264,38 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
     """Chow (ell = codim-1) or Hurwitz (ell = codim) ideal in Pluecker
     coordinates, reduced modulo the Pluecker relations.
 
-    The tangency condition is encoded with the gradient hyperplane for
-    hypersurfaces and with tangent-line containment for curves; other
-    shapes are out of scope.
+    Without a parametrization the cone's vertex x = 0 lies on every
+    plane, so the eliminant would be zero.  Tangency is encoded with the
+    gradient hyperplane for hypersurfaces and with tangent-line
+    containment for curves; other shapes are out of scope.
     """
     n = v.n
     c = v.codim()
     if ell not in (c - 1, c) or not (0 <= ell <= n - 1):
         raise Unsupported("supported levels are codim-1 (Chow) and codim (Hurwitz)")
+    if v.parametrization is None:
+        raise Unsupported("associated forms are eliminated from a parametrization")
     field = v.field
     pring = pluecker_ring(field, ell, n)
     pnames = pring.vars
     hurwitz = ell == c
 
-    if v.parametrization is not None:
-        par, coords = v.parametrization
-        big = PolyRing(field, par.vars + pnames, DEGREVLEX)
-        x_polys = [g.map_to(big) for g in coords]
-        base_gens = []
-    else:
-        big = PolyRing(field, v.ring.vars + pnames, DEGREVLEX)
-        x_polys = [big.var(nm) for nm in v.ring.vars]
-        base_gens = [g.map_to(big) for g in v.gens]
+    par, coords = v.parametrization
+    big = PolyRing(field, par.vars + pnames, DEGREVLEX)
+    x_polys = [g.map_to(big) for g in coords]
 
     pvar_of = {}
     for idxs in combinations(range(n + 1), ell + 1):
         pvar_of[idxs] = big.var(pluecker_var_name(idxs))
 
-    gens = list(base_gens)
-    gens += point_in_plane_contractions(big, x_polys, ell, n, pvar_of)
+    gens = point_in_plane_contractions(big, x_polys, ell, n, pvar_of)
     if hurwitz:
         if v.dimension() == n - 1:
-            if v.parametrization is not None:
-                w_polys = [d.substitute(big, x_polys) for d in v.gradients[0]]
-            else:
-                w_polys = [d.map_to(big) for d in v.gradients[0]]
+            w_polys = [d.substitute(big, x_polys) for d in v.gradients[0]]
             gens += plane_in_hyperplane_contractions(big, w_polys, ell, n, pvar_of)
-        elif v.dimension() == 1 and v.parametrization is not None:
+        elif v.dimension() == 1:
             # tangent line = span(x(t), x'(t)) inside L
-            dx = [g.diff(0).map_to(big) for g in v.parametrization[1]]
+            dx = [g.diff(0).map_to(big) for g in coords]
             gens += point_in_plane_contractions(big, dx, ell, n, pvar_of)
         else:
             raise Unsupported("tangency encoding needs a hypersurface or a parametrized curve")
@@ -317,26 +310,39 @@ def chow_hurwitz_ideal(v: ProjVariety, ell) -> Ideal:
 
 
 def hypersurface_range(v: ProjVariety):
-    """(codim-1, dim of the dual variety): the levels with positive polar degree."""
-    c = v.codim()
-    try:
-        return c - 1, dual_variety(v).dimension()
-    except Unsupported:
-        pass
-    if v.dimension() == 1:
-        dim, _ = hilbert_dim_degree(chow_hurwitz_ideal(v, v.n - 1))
-        return c - 1, dim
-    raise Unsupported("cannot determine the dual dimension for this variety")
+    """(codim-1, dim of the dual variety): the levels with positive polar degree.
+
+    dim X^dual = n - 1 - dim X + rank T Q T^t (Griffiths-Harris), T the
+    tangent basis at a smooth point x, Q = sum_i lambda_i Hess g_i(x)
+    for seeded weights.  Special points read low, so the largest of
+    RANGE_SAMPLES readings at parametrized points is kept; line-scan
+    points can all be special, and in characteristic 2 all points are.
+    """
+    if v.parametrization is None:
+        raise Unsupported("the dual dimension is read at parametrized points only")
+    field = v.field
+    if field.kind == "fp" and field.p == 2:
+        raise Unsupported("the dual dimension is not read in characteristic 2")
+    rank = 0
+    for k in range(RANGE_SAMPLES):
+        stream = Stream(k, "dual-dimension")
+        x, tangent = sample_smooth_point(v, stream.spawn("point").seed)
+        weights = stream.spawn("weights").vector(field, len(v.gens), 10)
+        t = tangent.basis
+        rank = max(rank, (t @ v.hessian_at(x, weights) @ t.transpose()).rank())
+    return v.codim() - 1, v.n - 1 - v.dimension() + rank
 
 
 def polar_degree(v: ProjVariety, ell):
-    """Degree of the level-ell associated form; 0 outside the
-    hypersurface range."""
+    """Degree of the level-ell associated form, deg X at the Chow level
+    (GKZ ch. 3); 0 outside the hypersurface range."""
     lo, hi = hypersurface_range(v)
     if not (lo <= ell <= hi):
         return 0
     c = v.codim()
-    if ell in (c - 1, c):
+    if ell == c - 1:
+        return v.degree()
+    if ell == c:
         ideal = chow_hurwitz_ideal(v, ell)
         if not ideal.gens:
             raise NonGeneralConfiguration("empty associated ideal")

@@ -8,8 +8,8 @@ tangent space at L is computed from the kernel of the Jacobian of the
 coefficient system of f(a + t*b), pushed along the row-space chart,
 and its trace annihilator gives the conormal space whose rank-one
 structure the verification checks point by point.  A sampled line
-keeps its adapted basis (the chart frame) and the tangent space at p,
-and the flag rows are read from the terms of the f_k.
+keeps its adapted basis (the chart frame) and the tangent space drawn
+with p, and the flag rows are read from the terms of the f_k.
 """
 
 from __future__ import annotations
@@ -96,20 +96,18 @@ def _check_contact_order(v: ProjVariety, m):
         raise InvalidInput("need 2 <= m <= min(n, deg f)")
 
 
-def taylor_cone_flag(v: ProjVariety, p, q, m) -> ContactConfig:
+def taylor_cone_flag(v: ProjVariety, sample, q, m) -> ContactConfig:
     """Chart expansion and the tangent flag of the contact cones.
 
+    sample is (p, tangent space at p), as `sample_smooth_point` draws it.
     Verifies: contact order of the line at p is exactly m; each flag
     member is a hyperplane in the previous one.
     """
     _check_contact_order(v, m)
     field = v.field
     n = v.n
-    p = tuple(field.of(c) for c in p)
+    p, tangent = sample
     q = tuple(field.of(c) for c in q)
-    tangent = v.smooth_tangent_space(p)
-    if tangent is None:
-        raise NonGeneralConfiguration("contact point must be smooth")
     order = line_contact_order(v, p, q)
     if order != m:
         raise NonGeneralConfiguration("line has contact order %r, wanted %d" % (order, m))
@@ -160,7 +158,7 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
     for k in range(CONTACT_RETRIES):
         s = stream.spawn(k)
         try:
-            p = sample_smooth_point(v, s.spawn("pt").seed, height=10)
+            p, tangent = sample_smooth_point(v, s.spawn("pt").seed, height=10)
         except SamplingError:
             continue
         # chart at p with unit completion
@@ -185,7 +183,7 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
         if not any(q):
             continue
         try:
-            return taylor_cone_flag(v, p, q, m)
+            return taylor_cone_flag(v, (p, tangent), q, m)
         except NonGeneralConfiguration:
             continue
     raise SamplingError("no rational contact line found within budget")

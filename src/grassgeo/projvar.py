@@ -1,16 +1,17 @@
 """Projective varieties as homogeneous ideals.
 
 A variety differentiates its generators once, when it is made, and
-keeps the gradients; their own gradients, the Hessians, it derives on
-first use.  One Jacobian evaluates the gradients over the field or
-over its jets; it serves smooth-point tests by Jacobian rank, embedded
-tangent spaces and the jet probes of `associated`.  A weighted sum of
-Hessians at a point gives the second fundamental form behind the
-conormal spaces of `associated`.  Also: exact point sampling
-(parametrizations over any field, roots of random line restrictions
-over prime fields for hypersurfaces), the tangent-hyperplane witnesses
-that `associated` builds, and dual varieties of complete intersections
-by Lagrange elimination.
+keeps the gradients and which of them are constant; the Hessians it
+derives on first use.  One Jacobian evaluates the gradients over the
+field or over its jets; it serves the one smoothness test (the tangent
+space, or None at a singular point) and the jet probes of
+`associated`.  A weighted sum of Hessians at a point gives the second
+fundamental form behind `associated`.  Also: exact sampling of smooth
+points with their tangent spaces (parametrizations over any field,
+roots of random line restrictions over prime fields for
+hypersurfaces), the tangent-hyperplane witnesses that `associated`
+builds, and dual varieties of complete intersections by Lagrange
+elimination.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class ProjVariety:
         self.ring = ring
         self.gens = gens
         self.gradients = tuple(g.gradient() for g in gens)
+        # constant partials evaluate to field scalars, which a Jacobian over jets lifts
+        self._constant = tuple(tuple(d.is_constant() for d in grad) for grad in self.gradients)
         self._hessians = None
         self.ideal = Ideal(ring, gens)
         self.parametrization = parametrization
@@ -89,7 +92,11 @@ class ProjVariety:
         """The gradients at x, one row per generator, over the field or `ring` (its jets)."""
         ring = self.field if ring is None else ring
         pt = [ring.of(v) for v in x]
-        return Matrix(ring, [[d.evaluate(pt) for d in grad] for grad in self.gradients], self.ring.nvars)
+        rows = tuple(
+            tuple(ring.of(d.evaluate(pt)) if c else d.evaluate(pt) for d, c in zip(grad, constant))
+            for grad, constant in zip(self.gradients, self._constant)
+        )
+        return Matrix._of(ring, rows, self.ring.nvars)
 
     @property
     def hessians(self):
@@ -113,27 +120,12 @@ class ProjVariety:
         rows = tuple(tuple(q[j][k] if j <= k else q[k][j] for k in range(size)) for j in range(size))
         return Matrix._of(field, rows, size)
 
-    def is_smooth_point(self, x):
-        """(smooth?, tangent dimension); raises if x is off the variety."""
-        if not self.contains_point(x):
-            raise ValueError("point is not on the variety")
-        rank = self.jacobian_at(x).rank()
-        tangent_dim = self.n - rank
-        return rank == self.codim(), tangent_dim
-
     def smooth_tangent_space(self, x):
-        """The embedded tangent space at x from one Jacobian, None where x is singular."""
-        if not self.contains_point(x):
-            raise ValueError("point is not on the variety")
+        """The embedded tangent space at x, a point of the variety (unchecked), from one Jacobian;
+        None where x is singular."""
         ker = self.jacobian_at(x).nullspace()
         # smooth <=> Jacobian rank = codim <=> kernel dimension = dim + 1
         return Subspace(self.field, self.n, ker, check=False) if ker.nrows == self.dimension() + 1 else None
-
-    def embedded_tangent_space(self, x) -> Subspace:
-        tangent = self.smooth_tangent_space(x)
-        if tangent is None:
-            raise ValueError("singular point")
-        return tangent
 
     def parametrize(self, theta):
         pring, coords = self.parametrization
@@ -155,7 +147,7 @@ class ConormalWitness:
 
 
 def sample_smooth_point(v: ProjVariety, seed, height=12):
-    """A verified smooth point, deterministic in the seed.
+    """(x, embedded tangent space at x) for a verified smooth point x, deterministic in the seed.
 
     Parametrized varieties draw parameter values; otherwise, over a
     prime field, hypersurfaces are sliced with random lines and the
@@ -172,9 +164,9 @@ def sample_smooth_point(v: ProjVariety, seed, height=12):
             x = v.parametrize(theta)
             if all(not c for c in x):
                 continue
-            smooth, _ = v.is_smooth_point(x)
-            if smooth:
-                return x
+            tangent = v.smooth_tangent_space(x)
+            if tangent is not None:
+                return x, tangent
         raise SamplingError("no smooth point found within budget")
     if v.field.kind != "fp":
         raise Unsupported("sampling needs a parametrization or a prime field")
@@ -191,8 +183,9 @@ def sample_smooth_point(v: ProjVariety, seed, height=12):
         ts = univariate.roots(g, field) if g else map(field.of, range(field.p))
         for t in ts:
             x = tuple(ai + t * bi for ai, bi in zip(a, b))
-            if any(x) and v.is_smooth_point(x)[0]:
-                return x
+            tangent = v.smooth_tangent_space(x) if any(x) else None
+            if tangent is not None:
+                return x, tangent
     raise SamplingError("no smooth point found within budget")
 
 

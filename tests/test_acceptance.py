@@ -366,8 +366,8 @@ def test_criterion_11_transverse_intersection_pencil():
             continue
         line = subspace_from_rows(F, 3, [list(x1), list(x2)])
         a = adapted_basis(line)
-        con1 = _rank_one_conormals(a, a.quotient_coords(v1.embedded_tangent_space(x1).basis), x1)
-        con2 = _rank_one_conormals(a, a.quotient_coords(v2.embedded_tangent_space(x2).basis), x2)
+        con1 = _rank_one_conormals(a, a.quotient_coords(v1.smooth_tangent_space(x1).basis), x1)
+        con2 = _rank_one_conormals(a, a.quotient_coords(v2.smooth_tangent_space(x2).basis), x2)
         if con1.dim != 1 or con2.dim != 1:
             continue
         joint_space = HomSpace(CONORMAL, a, list(con1.mats) + list(con2.mats))

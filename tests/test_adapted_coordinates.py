@@ -211,4 +211,6 @@ def test_a_contact_report_coerces_only_its_inputs(monkeypatch):
     of = PrimeField.of
     monkeypatch.setattr(PrimeField, "of", lambda self, x: coerced.append(1) or of(self, x))
     _run(CONTACT_REPORT)
-    assert len(coerced) == 3985  # 6473 before
+    # the cone flag reads the tangent space sampled with its point, and a Jacobian lifts only its
+    # constant partials, of which this surface has none
+    assert len(coerced) == 3633  # 6473 before kept blocks, 3985 before these two

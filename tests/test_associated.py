@@ -11,6 +11,7 @@ from grassgeo.associated import (
     sample_associated,
     transported_dual_sample,
 )
+from grassgeo.errors import Unsupported
 from grassgeo.fields import GF, QQ
 from grassgeo.grassmann import (
     evaluate_pluecker,
@@ -20,8 +21,8 @@ from grassgeo.grassmann import (
 )
 from grassgeo.groebner import normal_form
 from grassgeo.linalg import Matrix, row_space_contains
-from grassgeo.poly import Ideal
-from grassgeo.projvar import dual_variety
+from grassgeo.poly import Ideal, standard_ring
+from grassgeo.projvar import ProjVariety, dual_variety
 from grassgeo.rng import Stream
 from grassgeo.varieties import (
     plane_conic,
@@ -260,6 +261,47 @@ def test_polar_degrees_quadric():
     v = quadric_surface(F)
     assert hypersurface_range(v) == (0, 2)
     assert [polar_degree(v, l) for l in range(3)] == [2, 2, 2]
+
+
+# parametrized varieties and the dimensions of their duals: a rational normal curve of degree d has a
+# hypersurface as dual, so has Segre 3x3 (the determinant), and P^1 x P^{b-1} has dual dimension b
+DUAL_DIMENSIONS = [
+    (plane_conic, 1),
+    (twisted_cubic, 2),
+    (quadric_surface, 2),
+    (lambda f: rational_normal_curve(f, 4), 3),
+    (lambda f: rational_normal_curve(f, 5), 4),
+    (lambda f: segre(f, 2, 3), 3),
+    (lambda f: segre(f, 2, 4), 4),
+    (lambda f: segre(f, 3, 3), 7),
+]
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), GF(7), GF(11), F, QQ], ids=repr)
+def test_the_range_ends_at_the_sampled_dual_dimension(field):
+    for make, dual_dim in DUAL_DIMENSIONS:
+        v = make(field)
+        assert hypersurface_range(v) == (v.codim() - 1, dual_dim)
+    for v in (plane_conic(field), quadric_surface(field)):  # the complete intersections: the eliminated dual
+        assert hypersurface_range(v)[1] == dual_variety(v).dimension()
+
+
+def test_the_chow_level_has_the_degree_of_the_variety():
+    for field in (F, QQ):
+        for v in (twisted_cubic(field), quadric_surface(field), plane_conic(field)):
+            ell = v.codim() - 1
+            assert chow_hurwitz_ideal(v, ell).gens[0].total_degree() == v.degree() == polar_degree(v, ell)
+
+
+def test_associated_forms_need_a_parametrization_and_the_range_an_odd_characteristic():
+    ring = standard_ring(F, 4)
+    x0, x1, x2, x3 = ring.gens()
+    bare = ProjVariety(ring, [x0 * x3 - x1 * x2])
+    for call in (hypersurface_range, lambda v: chow_hurwitz_ideal(v, 0), lambda v: sample_associated(v, 1, 0)):
+        with pytest.raises(Unsupported, match="parametriz"):
+            call(bare)
+    with pytest.raises(Unsupported, match="characteristic 2"):
+        hypersurface_range(twisted_cubic(GF(2)))
 
 
 def test_duality_transport_quadric():

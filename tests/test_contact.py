@@ -28,7 +28,7 @@ def test_m2_flag_is_tangent_plane():
     v = _fermat_cubic(F)
     cfg = sample_contact_line(v, 2, seed=3)
     assert len(cfg.flag) == 1
-    assert cfg.flag[0].same_as(v.embedded_tangent_space(cfg.point))
+    assert cfg.flag[0].same_as(v.smooth_tangent_space(cfg.point))
 
 
 def test_fermat_cubic_m3_nested_flag():
@@ -57,7 +57,7 @@ def test_wrong_contact_order_rejected():
     v = _fermat_cubic(F)
     cfg = sample_contact_line(v, 2, seed=9)
     with pytest.raises(NonGeneralConfiguration):
-        taylor_cone_flag(v, cfg.point, cfg.direction_point, 3)
+        taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), cfg.direction_point, 3)
 
 
 def test_tangent_space_dimensions():

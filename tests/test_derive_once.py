@@ -99,19 +99,29 @@ def test_a_contact_line_has_one_adapted_basis(monkeypatch):
     for v, cfg in _contact_lines(3):
         calls = _counter(monkeypatch, contact, "adapted_basis")
         _counter(monkeypatch, grassmann, "adapted_basis", calls)
-        line = taylor_cone_flag(v, cfg.point, cfg.direction_point, cfg.m)
+        line = taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), cfg.direction_point, cfg.m)
         assert line.adapted.subspace is line.line
         verify_contact_theorem(line)
         assert calls == [line.line]
         monkeypatch.undo()
 
 
-def test_the_cone_flag_evaluates_one_jacobian_at_the_point(monkeypatch):
+def test_a_contact_point_evaluates_one_jacobian(monkeypatch):
+    # the cone flag reads the tangent space that came with the sampled point
     for v, cfg in _contact_lines(3):
         calls = _counter(monkeypatch, ProjVariety, "jacobian_at")
-        line = taylor_cone_flag(v, cfg.point, cfg.direction_point, cfg.m)
-        assert len(calls) == 1
-        assert line.tangent_at_p.same_as(v.embedded_tangent_space(cfg.point))
+        line = taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), cfg.direction_point, cfg.m)
+        assert calls == []
+        assert line.tangent_at_p.same_as(v.smooth_tangent_space(cfg.point))
+        monkeypatch.undo()
+    # sampling and flag together: one Jacobian per point drawn, the accepted one included (the surfaces
+    # are smooth, so each draw takes its first root)
+    for s in range(3):
+        v = random_hypersurface(F, 3, 3, seed=100 + s)
+        jacobians = _counter(monkeypatch, ProjVariety, "jacobian_at")
+        points = _counter(monkeypatch, contact, "sample_smooth_point")
+        sample_contact_line(v, 3, seed=Stream(7, s).seed)
+        assert len(jacobians) == len(points) >= 1
         monkeypatch.undo()
 
 

@@ -4,7 +4,7 @@ A change to Groebner bases that alters a budget charge, or returns a
 wrong basis that a report's checks then reject, shows up as a report
 that exits non-zero.  So the `elimination` plan of perfbench/workloads.py
 runs here at eight seeds, each report through `grassgeo.cli.main` in
-process, and the three commands that run out of budget are pinned to
+process, and the two commands that run out of budget are pinned to
 their exact spend, which fixes the budget's unit.  A change to the
 linear algebra or the root finding behind the sampling reports shows up
 the same way, so the `sampling-q` and `sampling-fp` plans run at four
@@ -77,7 +77,6 @@ def test_segre_reports_above_the_dual_dimension(ell, conormal_dim, field):
     "argv, spent",
     [
         ("chow --variety rational-normal-quartic", 200072),
-        ("polar-degrees --variety rational-normal-quartic", 200072),
         ("chow --variety segre-2x4 --samples 2", 200017),
     ],
 )

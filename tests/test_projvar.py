@@ -24,11 +24,9 @@ from grassgeo.varieties import (
 
 def test_quadric_smooth_point_and_tangent():
     v = quadric_surface(QQ)
-    smooth, tdim = v.is_smooth_point([1, 0, 0, 0])
-    assert smooth and tdim == 2
-    t = v.embedded_tangent_space([1, 0, 0, 0])
+    t = v.smooth_tangent_space([1, 0, 0, 0])
     # tangent plane is Z(x3)
-    assert t.ell == 2
+    assert t is not None and t.ell == 2
     assert t.contains_point([1, 0, 0, 0]) and t.contains_point([0, 1, 0, 0])
     assert not t.contains_point([0, 0, 0, 1])
 
@@ -37,22 +35,21 @@ def test_cone_vertex_singular():
     ring = standard_ring(QQ, 4)
     x0, x1, x2, x3 = ring.gens()
     v = ProjVariety(ring, [x1**2 - x0 * x2])
-    smooth, tdim = v.is_smooth_point([0, 0, 0, 1])
-    assert not smooth and tdim == 3
+    assert v.smooth_tangent_space([0, 0, 0, 1]) is None
+    assert v.jacobian_at([0, 0, 0, 1]).rank() == 0  # the Zariski tangent space is all of P^3
 
 
 def test_hyperplane_always_smooth():
     ring = standard_ring(QQ, 4)
     v = ProjVariety(ring, [ring.var(0)])
-    assert v.is_smooth_point([0, 1, 2, 3])[0]
-    t = v.embedded_tangent_space([0, 1, 2, 3])
-    assert t.same_as(v.embedded_tangent_space([0, 5, 0, 1]))  # linear: tangent = itself
+    t = v.smooth_tangent_space([0, 1, 2, 3])
+    assert t is not None and t.same_as(v.smooth_tangent_space([0, 5, 0, 1]))  # linear: tangent = itself
 
 
 def test_twisted_cubic_tangent_line():
     v = twisted_cubic(QQ)
     assert v.dim_degree() == (1, 3)
-    t = v.embedded_tangent_space([1, 0, 0, 0])
+    t = v.smooth_tangent_space([1, 0, 0, 0])
     assert t.ell == 1
     assert t.contains_point([1, 0, 0, 0]) and t.contains_point([0, 1, 0, 0])
 
@@ -64,17 +61,17 @@ def test_parametrize_twisted_cubic():
 
 def test_sample_smooth_point_parametrized():
     v = rational_normal_curve(GF(32003), 4)
-    x = sample_smooth_point(v, seed=7)
-    assert v.contains_point(x) and v.is_smooth_point(x)[0]
-    assert sample_smooth_point(v, seed=7) == x  # deterministic
+    x, t = sample_smooth_point(v, seed=7)
+    assert v.contains_point(x) and t.ell == 1 and t.same_as(v.smooth_tangent_space(x))
+    assert sample_smooth_point(v, seed=7)[0] == x  # deterministic
 
 
 def test_sample_smooth_point_line_scan():
     ring = standard_ring(GF(101), 4)
     x0, x1, x2, x3 = ring.gens()
     v = ProjVariety(ring, [x0 * x3 - x1 * x2])
-    x = sample_smooth_point(v, seed=3)
-    assert v.contains_point(x) and v.is_smooth_point(x)[0]
+    x, t = sample_smooth_point(v, seed=3)
+    assert v.contains_point(x) and t.ell == 2 and t.same_as(v.smooth_tangent_space(x))
 
 
 def test_sample_smooth_point_singular_only_errors():
@@ -91,8 +88,8 @@ def test_sample_smooth_point_singular_only_errors():
 def conormal_witness_sample(v, seed):
     """(x, H) with the tangent space at x inside H, seeded choice of H."""
     stream = Stream(seed, "witness")
-    x = sample_smooth_point(v, stream.spawn("pt").seed, height=12)
-    normals = v.embedded_tangent_space(x).basis.nullspace()
+    x, tangent = sample_smooth_point(v, stream.spawn("pt").seed, height=12)
+    normals = tangent.basis.nullspace()
     s = stream.spawn("hyp")
     for _ in range(SAMPLE_RETRIES):
         coeffs = s.vector(v.field, normals.nrows, 12)
@@ -111,7 +108,7 @@ def test_conormal_witness_quadric_forced():
     v = quadric_surface(QQ)
     w = conormal_witness_sample(v, seed=5)
     assert v.contains_point(w.point)
-    t = v.embedded_tangent_space(w.point)
+    t = v.smooth_tangent_space(w.point)
     assert w.h.contains(t)
     # hypersurface: the tangent hyperplane is unique, H = Z(grad f(x))
     grad = [v.gens[0].diff(i).evaluate([v.field.of(c) for c in w.point]) for i in range(4)]
@@ -121,7 +118,7 @@ def test_conormal_witness_quadric_forced():
 def test_conormal_witness_curve_family():
     v = twisted_cubic(QQ)
     w1 = conormal_witness_sample(v, seed=1)
-    assert w1.h.contains(v.embedded_tangent_space(w1.point))
+    assert w1.h.contains(v.smooth_tangent_space(w1.point))
     w2 = conormal_witness_sample(v, seed=2)
     assert w1.h.contains(w1.x)
     assert not (w1.point == w2.point and w1.normal == w2.normal)
@@ -170,6 +167,5 @@ def test_biduality_on_quadrics():
 def test_tangent_dimension_matches_variety_dimension():
     for v, seeds in ((twisted_cubic(QQ), range(3)), (quadric_surface(QQ), range(3))):
         for s in seeds:
-            x = sample_smooth_point(v, seed=s)
-            t = v.embedded_tangent_space(x)
-            assert t.ell == v.dimension()
+            x, t = sample_smooth_point(v, seed=s)
+            assert t.ell == v.dimension() and t.same_as(v.smooth_tangent_space(x))
