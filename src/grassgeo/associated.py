@@ -16,7 +16,7 @@ polar degrees read deg X and the second fundamental form instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import InvalidInput, NonGeneralConfiguration, SamplingError, Unsupported
@@ -47,23 +47,25 @@ SAMPLE_RETRIES = 60
 RANGE_SAMPLES = 3  # smooth points read for the dual dimension, which keeps the largest reading
 
 
-@dataclass
-class WitnessConfig:
+class WitnessConfig(namedtuple("WitnessConfig", (
+    "theta",
+    "h_coeffs",
+    "l_coeffs",  # ell rows of coefficients over the hyperplane basis
+))):
     """Seeded free data behind one (x, H, L) configuration."""
 
-    theta: tuple
-    h_coeffs: tuple
-    l_coeffs: tuple  # ell rows of coefficients over the hyperplane basis
+    __slots__ = ()
 
 
-@dataclass
-class AssociatedSample:
-    ell: int
-    subspace: Subspace
-    witness: ConormalWitness
-    config: WitnessConfig
-    tangent_at_x: Subspace
-    jacobian: Matrix  # at x, one row per generator
+class AssociatedSample(namedtuple("AssociatedSample", (
+    "ell",
+    "subspace",  # L
+    "witness",  # ConormalWitness (x, H)
+    "config",  # the WitnessConfig it was built from
+    "tangent_at_x",
+    "jacobian",  # at x, one row per generator
+))):
+    __slots__ = ()
 
 
 def _build_configuration(v: ProjVariety, ell, ring, cfg: WitnessConfig):
@@ -317,7 +319,11 @@ def hypersurface_range(v: ProjVariety):
     for seeded weights.  Special points read low, so the largest of
     RANGE_SAMPLES readings at parametrized points is kept; line-scan
     points can all be special, and in characteristic 2 all points are.
+    The seeds are fixed, so the range is read once per variety and kept
+    on it (`v.polar_range`).
     """
+    if v.polar_range is not None:
+        return v.polar_range
     if v.parametrization is None:
         raise Unsupported("the dual dimension is read at parametrized points only")
     field = v.field
@@ -330,7 +336,8 @@ def hypersurface_range(v: ProjVariety):
         weights = stream.spawn("weights").vector(field, len(v.gens), 10)
         t = tangent.basis
         rank = max(rank, (t @ v.hessian_at(x, weights) @ t.transpose()).rank())
-    return v.codim() - 1, v.n - 1 - v.dimension() + rank
+    v.polar_range = (v.codim() - 1, v.n - 1 - v.dimension() + rank)
+    return v.polar_range
 
 
 def polar_degree(v: ProjVariety, ell):

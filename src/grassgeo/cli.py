@@ -383,7 +383,9 @@ def run(argv=None):
     handler, used = COMMANDS[args.command]
     results, checks = handler(args, field)
     elapsed_ms = int((time.time() - started) * 1000)
-    inputs = {k: getattr(args, k) for k in used if k != "n"}  # contact's --n is not hashed yet: ROADMAP item 1
+    # contact's --n is left out: hashing it changes the digest of every saved contact report
+    # (CHANGES.md, the FOUND line on `--n`)
+    inputs = {k: getattr(args, k) for k in used if k != "n"}
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -14,14 +14,13 @@ with p, and the flag rows are read from the terms of the f_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import univariate
 from .errors import CertificateNotApplicable, InvalidInput, NonGeneralConfiguration, SamplingError
 from .grassmann import (
     CONORMAL,
     TANGENT,
-    AdaptedBasis,
     Hom,
     HomSpace,
     Subspace,
@@ -49,17 +48,18 @@ from .rng import Stream
 CONTACT_RETRIES = 120
 
 
-@dataclass
-class ContactConfig:
-    variety: ProjVariety
-    m: int
-    point: tuple  # p, the contact point
-    direction_point: tuple  # q, a second point of the line
-    line: Subspace
-    adapted: AdaptedBasis  # the line's adapted basis; its rows p, q, unit completion frame the chart
-    chart_parts: dict  # degree -> graded piece of f in chart coordinates, for degrees below m
-    flag: list  # [T_L C_k for k = 2..m], nested subspaces of P^n
-    tangent_at_p: Subspace
+class ContactConfig(namedtuple("ContactConfig", (
+    "variety",
+    "m",
+    "point",  # p, the contact point
+    "direction_point",  # q, a second point of the line
+    "line",
+    "adapted",  # the line's adapted basis; its rows p, q, unit completion frame the chart
+    "chart_parts",  # degree -> graded piece of f in chart coordinates, for degrees below m
+    "flag",  # [T_L C_k for k = 2..m], nested subspaces of P^n
+    "tangent_at_p",
+))):
+    __slots__ = ()
 
 
 def _chart_parts(v: ProjVariety, frame: Matrix, top):

@@ -12,7 +12,7 @@ that reads them shares one analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from . import univariate
@@ -104,12 +104,13 @@ def _affine_chart(ring, gens, chart, zero=()):
 # rank-one locus of a projectivized span
 
 
-@dataclass
-class RankOneLocus:
-    points: list  # (lambda tuple, Hom matrix, multiplicity or None)
-    dim: int  # projective dimension of the minor scheme, -1 when it is empty
-    degree: int  # its degree, 0 when it is empty
-    complete: bool = True  # False when solutions exist outside the field
+class RankOneLocus(namedtuple("RankOneLocus", (
+    "points",  # (lambda tuple, Hom matrix, multiplicity or None)
+    "dim",  # projective dimension of the minor scheme, -1 when it is empty
+    "degree",  # its degree, 0 when it is empty
+    "complete",  # False when solutions exist outside the field
+), defaults=(True,))):
+    __slots__ = ()
 
     @property
     def positive_dimensional(self):
@@ -186,17 +187,22 @@ def _point_multiplicity(ideal: Ideal, lam):
 # classification
 
 
-@dataclass
 class ClassificationReport:
-    mode: str
-    space_dim: int
-    ell: int
-    n: int
-    flags: dict = field(default_factory=dict)
-    type_tag: str = "none"
-    verdict: str = "inconclusive"
-    witnesses: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
+    """A verdict with the flags, witnesses and checks behind it; `classify`
+    and the contact verification fill it in."""
+
+    __slots__ = ("mode", "space_dim", "ell", "n", "flags", "type_tag", "verdict", "witnesses", "checks")
+
+    def __init__(self, mode, space_dim, ell, n):
+        self.mode = mode
+        self.space_dim = space_dim
+        self.ell = ell
+        self.n = n
+        self.flags = {}
+        self.type_tag = "none"
+        self.verdict = "inconclusive"
+        self.witnesses = []
+        self.checks = []
 
     def check(self, name, ok, detail=""):
         self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -325,15 +331,16 @@ def classify(space: HomSpace, mode: str, family_dim=None) -> ClassificationRepor
 # Segre tangency certificate
 
 
-@dataclass
-class SegreCertificate:
-    points: list  # (lambda, multiplicity)
-    unique_point: bool
-    multiplicity: int
-    segre_degree: int
-    bezout_total_ok: bool
-    reduced_shape: tuple
-    kernel_quotient_dim: int
+class SegreCertificate(namedtuple("SegreCertificate", (
+    "points",  # (lambda, multiplicity)
+    "unique_point",
+    "multiplicity",
+    "segre_degree",
+    "bezout_total_ok",
+    "reduced_shape",
+    "kernel_quotient_dim",
+))):
+    __slots__ = ()
 
 
 def _common_kernel_rows(space: HomSpace):

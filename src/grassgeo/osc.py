@@ -13,7 +13,7 @@ a unique alpha/beta variety, whose center the classifier returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInput, NonGeneralConfiguration
 from .grassmann import (
@@ -90,14 +90,15 @@ class ParamCurve:
         return "ParamCurve(n=%d)" % self.n
 
 
-@dataclass
-class OscSample:
-    t: object
-    k: int
-    rows: Matrix  # c(t), c'(t), ..., c^(k+1)(t)
-    subspace: Subspace
-    prev: Subspace
-    next: Subspace  # None when k = n-1 has no defined successor
+class OscSample(namedtuple("OscSample", (
+    "t",
+    "k",
+    "rows",  # c(t), c'(t), ..., c^(k+1)(t)
+    "subspace",
+    "prev",
+    "next",  # None when k = n-1 has no defined successor
+))):
+    __slots__ = ()
 
     def tangent_hom(self) -> Hom:
         """Rank-one tangent of the osculating family: kernel the previous

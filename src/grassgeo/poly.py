@@ -248,7 +248,8 @@ class Poly:
     def __rsub__(self, other):
         return (-self) + self.ring.const(other)
 
-    # stays apart from _raw_product: products on field elements measured faster (ROADMAP item 4)
+    # stays apart from _raw_product: on it, elimination measured 6.1 % slower
+    # (CHANGES.md, "Groebner bases from their invariants")
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = self.ring.field.of(other)
@@ -305,7 +306,8 @@ class Poly:
     def gradient(self):
         return tuple(self.diff(i) for i in range(self.ring.nvars))
 
-    # stays apart from substitute and univariate.restrict: merging measured slower (ROADMAP item 4)
+    # stays apart from substitute and univariate.restrict: through either, sampling measured 26-54 % slower
+    # (CHANGES.md, "Groebner bases from their invariants")
     def evaluate(self, point):
         """Evaluate at scalars (field elements or jets); Horner-free."""
         if len(point) != self.ring.nvars:
@@ -429,7 +431,8 @@ class Ideal:
         return "Ideal(%d gens in %r)" % (len(self.gens), self.ring)
 
 
-# stays apart from Poly.__mul__: moving that product here measured slower (ROADMAP item 4)
+# stays apart from Poly.__mul__: moving that product here measured 6.1 % slower on elimination
+# (CHANGES.md, "Groebner bases from their invariants")
 def _raw_product(f, g, top):
     """The product of two {exponent: raw scalar} dicts without its terms of degree above top, unreduced."""
     out = {}

@@ -16,7 +16,7 @@ elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import univariate
 from .errors import InvalidInput, SamplingError, Unsupported
@@ -57,6 +57,7 @@ class ProjVariety:
                     raise InvalidInput("parametrization does not satisfy the ideal")
         self._dim_deg = None
         self._dual = None
+        self.polar_range = None  # kept by associated.hypersurface_range
 
     @property
     def n(self):
@@ -136,14 +137,15 @@ class ProjVariety:
         return "ProjVariety(n=%d, %d gens)" % (self.n, len(self.gens))
 
 
-@dataclass
-class ConormalWitness:
+class ConormalWitness(namedtuple("ConormalWitness", (
+    "x",  # Subspace
+    "h",  # Subspace
+    "point",  # x's coordinates
+    "normal",  # H's coefficients
+))):
     """A smooth point x together with a tangent hyperplane H."""
 
-    x: Subspace
-    h: Subspace
-    point: tuple
-    normal: tuple
+    __slots__ = ()
 
 
 def sample_smooth_point(v: ProjVariety, seed, height=12):

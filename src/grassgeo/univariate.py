@@ -61,7 +61,8 @@ def coeffs(poly):
     return out
 
 
-# stays apart from Poly.substitute and Poly.evaluate: merging measured slower (ROADMAP item 4)
+# stays apart from Poly.substitute and Poly.evaluate: through substitute, contact-roots measured 7.6 % slower
+# (CHANGES.md, "Groebner bases from their invariants")
 def restrict(poly, a, b):
     """Coefficients of t |-> poly(a + t*b) for points a, b of the ring's field."""
     field = poly.ring.field

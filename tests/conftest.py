@@ -40,3 +40,23 @@ def count_fp_operators(monkeypatch):
 def count_fraction_operators(monkeypatch):
     """Counts calls of the Fraction arithmetic operators; constructing a Fraction is not counted."""
     return _operator_counter(monkeypatch, Fraction, FRACTION_OPERATORS, Fraction(1, 3), Fraction(2, 3))
+
+
+def _check_record(record, fields):
+    """`record` is rebuilt equal from its `fields`' values by position in that order and by keyword,
+    compares field by field, and keeps no per-instance dict and no settable field."""
+    cls = type(record)
+    values = [getattr(record, name) for name in fields]
+    by_position = cls(*values)
+    assert all(getattr(by_position, name) is value for name, value in zip(fields, values))
+    assert by_position == record and cls(**dict(zip(fields, values))) == record
+    assert cls(*values[:-1], object()) != record
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+
+
+@pytest.fixture
+def check_record():
+    """Checks a record against its field names in their declared order; see `_check_record`."""
+    return _check_record

@@ -345,3 +345,10 @@ def test_a_plane_meeting_the_tangent_space_in_a_line_is_redrawn():
     assert s.config != first
     assert s.tangent_at_x.basis.stack(s.subspace.basis).rank() == 7
     assert associated_conormal(s, v).dim == 1  # n - ell - dim X, where the special L gave 2
+
+
+def test_an_associated_sample_and_its_parts_are_records_in_their_field_order(check_record):
+    s = sample_associated(twisted_cubic(F), 1, seed=1)
+    check_record(s, ("ell", "subspace", "witness", "config", "tangent_at_x", "jacobian"))
+    check_record(s.witness, ("x", "h", "point", "normal"))
+    check_record(s.config, ("theta", "h_coeffs", "l_coeffs"))

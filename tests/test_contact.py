@@ -109,3 +109,9 @@ def test_cone_degree_over_two_seeds():
             cfg = sample_contact_line(v, m, seed=seed)
             codim, deg = cone_dim_degree(cfg)
             assert codim == m - 1 and deg == factorial(m - 1)
+
+
+def test_a_contact_line_is_a_record_in_its_field_order(check_record):
+    cfg = sample_contact_line(_fermat_cubic(F), 3, seed=5)
+    fields = ("variety", "m", "point", "direction_point", "line", "adapted", "chart_parts", "flag", "tangent_at_p")
+    check_record(cfg, fields)

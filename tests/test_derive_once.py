@@ -157,6 +157,15 @@ def test_a_conormal_space_evaluates_no_jacobian_and_no_dual_variety(monkeypatch)
 
 # -- contact sampling does only the algebra it reads -------------------------------------------------
 
+@pytest.mark.parametrize("variety", ["segre-2x4", "quadric-surface"])
+def test_a_polar_degrees_report_reads_the_range_once(variety, monkeypatch, capsys):
+    points = _counter(monkeypatch, associated, "sample_smooth_point")
+    assert main(["polar-degrees", "--variety", variety]) == 0
+    capsys.readouterr()
+    # before: once for the report and once more per level, n + 1 readings in all
+    assert len(points) == associated.RANGE_SAMPLES
+
+
 # one report of the contact-roots benchmark workload
 CONTACT_REPORT = ["contact", "--f", "x0^3 + x1^3 + x2^3 + x3^3 + 13041*x0*x1*x2", "--n", "3", "--m", "3",
                   "--field", "fp:32003", "--samples", "10", "--seed", "130362"]

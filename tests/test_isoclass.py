@@ -15,6 +15,8 @@ from grassgeo.grassmann import (
     subspace_from_rows,
 )
 from grassgeo.isoclass import (
+    ClassificationReport,
+    RankOneLocus,
     alpha_beta_type,
     classify,
     is_strong,
@@ -240,3 +242,32 @@ def test_classify_duality_equivariance():
     assert rep.flags["strong"] and rep_dual.flags["strong"]
     assert {rep.type_tag, rep_dual.type_tag} == {"alpha", "beta"}
     assert rep.verdict == rep_dual.verdict == "isotropic"
+
+
+def test_rank_one_loci_and_segre_certificates_are_records_in_their_field_order(check_record):
+    a = _line_adapted()
+    loc = rank_one_locus(_tangent_space(a, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]))
+    check_record(loc, ("points", "dim", "degree", "complete"))
+    assert RankOneLocus(loc.points, loc.dim, loc.degree).complete is True
+    assert RankOneLocus(loc.points, loc.dim, loc.degree, False) != loc
+    cert = segre_tangency_certificate(_conormal_space(a, [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]))
+    fields = ("points", "unique_point", "multiplicity", "segre_degree", "bezout_total_ok", "reduced_shape",
+              "kernel_quotient_dim")
+    check_record(cert, fields)
+
+
+def test_classification_reports_share_no_mutable_fields():
+    first, second = ClassificationReport("coisotropic", 1, 1, 3), ClassificationReport("coisotropic", 1, 1, 3)
+    first.flags["strong"] = True
+    first.witnesses.append({"lambda": (), "rank": 1, "multiplicity": None})
+    first.check("first only", False)
+    assert (second.flags, second.witnesses, second.checks) == ({}, [], [])
+    assert (second.type_tag, second.verdict) == ("none", "inconclusive") and second.passed()
+    # classify fills a new report on every call
+    a = _line_adapted()
+    space = _conormal_space(a, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    reports = [classify(space, "coisotropic") for _ in range(2)]
+    reports[0].check("first only", False)
+    assert reports[1].passed() and len(reports[1].checks) == len(reports[0].checks) - 1
+    for name in ("flags", "witnesses", "checks"):
+        assert getattr(reports[0], name) is not getattr(reports[1], name)

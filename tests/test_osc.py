@@ -241,3 +241,10 @@ def test_projection_of_cone_family_recovers_curve_osculating_spaces():
         image = project_away(cone_plane, pa)
         want = osculating_space(curve3, tt, 1).subspace
         assert image.same_as(want)
+
+
+def test_an_osculating_sample_is_a_record_in_its_field_order(check_record):
+    s = osculating_space(_rnc(QQ, 3), QQ.of(2), 1)
+    check_record(s, ("t", "k", "rows", "subspace", "prev", "next"))
+    rebuilt = type(s)(s.t, s.k, s.rows, s.subspace, s.prev, s.next)
+    assert rebuilt.tangent_hom().matrix == s.tangent_hom().matrix

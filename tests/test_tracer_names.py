@@ -3,10 +3,16 @@
 `perfbench/tracer.py` looks each name of `TRACED` up with `getattr` and
 wraps `Matrix.rref` and `Matrix.det`, so a renamed or deleted function
 would break a traced benchmark run without failing any other test.
+The tracer also finds each traced module in `sys.modules` right after
+`import grassgeo.cli`, so that import loads every one of them, and it
+loads none of the standard library's heavy introspection modules.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +35,15 @@ def test_traced_functions_exist(module):
 
 def test_traced_matrix_methods_exist():
     assert callable(Matrix.rref) and callable(Matrix.det)
+
+
+def test_importing_the_cli_loads_every_traced_module_and_no_introspection_module():
+    root = Path(__file__).resolve().parents[1]
+    code = "import json, sys; import grassgeo.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {"PYTHONPATH": str(root / "src")}
+    # -S: what the installed site packages import at start-up is not grassgeo's footprint
+    argv = [sys.executable, "-S", "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out))
+    assert not loaded & {"dataclasses", "inspect", "ast"}
+    assert {"grassgeo." + module for module in tracer.TRACED} <= loaded
