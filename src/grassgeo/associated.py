@@ -28,7 +28,6 @@ from .grassmann import (
     Subspace,
     adapted_basis,
     hyperplane_subspace,
-    perp_dual,
     pluecker_relations,
     pluecker_ring,
     pluecker_var_name,
@@ -358,34 +357,3 @@ def polar_degree(v: ProjVariety, ell):
         return dual_variety(v).degree()
     raise Unsupported("polar degree at interior levels beyond codim is out of scope")
 
-
-def transported_dual_sample(sample: AssociatedSample, v: ProjVariety, dual: ProjVariety):
-    """Dual-side sample (L-perp with witness (H-dual, x-dual)) + checks.
-
-    Returns (subspace, witness, checks) where checks is a list of
-    (name, bool) verifying it is a valid associated sample of the dual
-    variety at level n - ell - 1.
-    """
-    field = v.field
-    n = v.n
-    lperp = perp_dual(sample.subspace)
-    xprime = sample.witness.normal
-    hprime = hyperplane_subspace(field, sample.witness.point)
-    checks = []
-    on_dual = dual.contains_point(xprime)
-    tprime = dual.smooth_tangent_space(xprime) if on_dual else None  # one Jacobian; None where singular
-    checks.append(("dual point on dual variety", on_dual))
-    if on_dual:
-        checks.append(("dual point smooth", tprime is not None))
-        if tprime is not None:
-            checks.append(("dual tangent inside dual witness hyperplane", hprime.contains(tprime)))
-    checks.append(("perp contains dual point", lperp.contains_point(xprime)))
-    checks.append(("perp inside dual hyperplane", hprime.contains(lperp)))
-    checks.append(("level", lperp.ell == n - sample.ell - 1))
-    witness = ConormalWitness(
-        x=point_subspace(field, xprime),
-        h=hprime,
-        point=tuple(xprime),
-        normal=tuple(sample.witness.point),
-    )
-    return lperp, witness, checks

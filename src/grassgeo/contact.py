@@ -1,15 +1,18 @@
 """Contact-line families of a hypersurface: lines with m-fold tangency.
 
 For a line L meeting Z(f) at a smooth point p with multiplicity m, the
-affine chart centered at p (with the line direction as first chart
-vector) splits f into graded pieces f_1 + f_2 + ...; the cones cut out
-by (f_1, ..., f_{k-1}) carry the tangent flag along L.  The family's
-tangent space at L is computed from the kernel of the Jacobian of the
-coefficient system of f(a + t*b), pushed along the row-space chart,
-and its trace annihilator gives the conormal space whose rank-one
-structure the verification checks point by point.  A sampled line
-keeps its adapted basis (the chart frame) and the tangent space drawn
-with p, and the flag rows are read from the terms of the f_k.
+affine chart centered at p (framed by p and its unit completion) splits
+f into graded pieces f_1 + f_2 + ...; the direction y of L in that
+chart solves f_1 = ... = f_{m-1} = 0, and the cones cut out by
+(f_1, ..., f_{k-1}) carry the tangent flag along L, whose members are
+read from the gradients of the f_k at y.  The family's tangent space at
+L is computed from the kernel of the Jacobian of the coefficient system
+of f(a + t*b), pushed along the row-space chart, and its trace
+annihilator gives the conormal space whose rank-one structure the
+verification checks point by point.  A sampled line keeps its adapted
+basis (rows p, q and a unit completion, in which its homs are written),
+the tangent space drawn with p, and the pieces of f in the chart at p;
+f is substituted into one chart per sampled point.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .grassmann import (
     point_subspace,
     stiefel_differential,
     subspace_from_rows,
-    tangent_from_action,
     trace_annihilator,
 )
 from .hilbert import hilbert_dim_degree
@@ -54,8 +56,8 @@ class ContactConfig(namedtuple("ContactConfig", (
     "point",  # p, the contact point
     "direction_point",  # q, a second point of the line
     "line",
-    "adapted",  # the line's adapted basis; its rows p, q, unit completion frame the chart
-    "chart_parts",  # degree -> graded piece of f in chart coordinates, for degrees below m
+    "adapted",  # the line's adapted basis, rows p, q and a unit completion: the homs at L are written in it
+    "chart_parts",  # degree -> graded piece of f, for degrees below m, in the chart at p that found q
     "flag",  # [T_L C_k for k = 2..m], nested subspaces of P^n
     "tangent_at_p",
 ))):
@@ -69,16 +71,11 @@ def _chart_parts(v: ProjVariety, frame: Matrix, top):
     return yring, v.gens[0].substitute(yring, images, top).homogeneous_parts()
 
 
-def _gradient_at_e1(fk, k):
-    """The gradient at e_1 of f_k, a form of degree k in y_1..y_n, read from its terms.
-
-    Only y_1^k and the y_1^(k-1) y_j have partials that do not vanish at e_1: the row
-    is (k c(y_1^k), c(y_1^(k-1) y_j) for j = 2..n), for k = 1 the coefficients of f_1.
-    """
-    n = fk.ring.nvars
-    row = [fk.coeff([k - 1 + (j == 0)] + [int(i == j) for i in range(1, n)]) for j in range(n)]
-    row[0] = k * row[0]
-    return row
+def _gradient_along(v: ProjVariety, p, q, top):
+    """Rows j < top: the t^j coefficient of grad f(p + t*q), from the partials v took when it was made."""
+    zero = v.field.zero
+    along = [univariate.restrict(d, p, q) for d in v.gradients[0]]
+    return tuple(tuple(f[j] if j < len(f) else zero for f in along) for j in range(top))
 
 
 def line_contact_order(v: ProjVariety, p, q):
@@ -96,30 +93,32 @@ def _check_contact_order(v: ProjVariety, m):
         raise InvalidInput("need 2 <= m <= min(n, deg f)")
 
 
-def taylor_cone_flag(v: ProjVariety, sample, q, m) -> ContactConfig:
-    """Chart expansion and the tangent flag of the contact cones.
+def taylor_cone_flag(v: ProjVariety, sample, chart, y, m) -> ContactConfig:
+    """The tangent flag of the contact cones along the line from p in the chart direction y.
 
-    sample is (p, tangent space at p), as `sample_smooth_point` draws it.
-    Verifies: contact order of the line at p is exactly m; each flag
-    member is a hyperplane in the previous one.
+    sample is (p, tangent space at p), as `sample_smooth_point` draws it;
+    chart is (frame, pieces) for the chart x = p + sum y_i * frame_i at p
+    that `sample_contact_line` builds, frame row 0 being p, and the line
+    is spanned by p and q = y @ (frame rows 1..n).  Verifies: contact
+    order of the line at p is exactly m; each flag member is a
+    hyperplane in the previous one.
     """
     _check_contact_order(v, m)
     field = v.field
     n = v.n
     p, tangent = sample
-    q = tuple(field.of(c) for c in q)
+    frame, parts = chart
+    directions = frame.submatrix(range(1, n + 1), range(n + 1))  # chart y maps to p + y @ directions
+    q = directions.apply_row(y)
     order = line_contact_order(v, p, q)
     if order != m:
         raise NonGeneralConfiguration("line has contact order %r, wanted %d" % (order, m))
     line = subspace_from_rows(field, n, [p, q])
-    adapted = adapted_basis(line)
-    yring, parts = _chart_parts(v, adapted.full, m - 1)
-    # gradient rows: grad f_1, grad f_2(e_1), ..., grad f_{m-1}(e_1)
-    grad_rows = [_gradient_at_e1(parts.get(k, yring.zero()), k) for k in range(1, m)]
-    directions = adapted.full.submatrix(range(1, n + 1), range(n + 1))  # chart y maps to y @ directions
+    # row k - 1 is grad f_k(y): by the chain rule, the t^(k-1) coefficient of grad f(p + t q) on the directions
+    grad_rows = Matrix._of(field, _gradient_along(v, p, q, m - 1), n + 1) @ directions.transpose()
     flag = []
     for k in range(2, m + 1):
-        rows = Matrix(field, grad_rows[: k - 1])
+        rows = grad_rows.submatrix(range(k - 1), range(n))
         if rows.rank() != k - 1:
             raise NonGeneralConfiguration("non-general configuration, reseed (flag rank)")
         sub_rows = Matrix(field, [p]).stack(rows.nullspace() @ directions)
@@ -138,7 +137,7 @@ def taylor_cone_flag(v: ProjVariety, sample, q, m) -> ContactConfig:
         point=p,
         direction_point=q,
         line=line,
-        adapted=adapted,
+        adapted=adapted_basis(line),
         chart_parts=parts,
         flag=flag,
         tangent_at_p=tangent,
@@ -161,11 +160,11 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
             p, tangent = sample_smooth_point(v, s.spawn("pt").seed, height=10)
         except SamplingError:
             continue
-        # chart at p with unit completion
+        # chart at p with unit completion, the one chart f is substituted into for this point
         frame = adapted_basis(point_subspace(field, p)).full
         _, parts = _chart_parts(v, frame, m - 1)
-        # linear constraints: grad f_1 plus n-m seeded slices
-        rows = [_gradient_at_e1(parts[1], 1)]
+        # linear constraints: f_1, whose coefficients are its gradient, plus n-m seeded slices
+        rows = [[parts[1].coeff([int(i == j) for i in range(n)]) for j in range(n)]]
         slicer = s.spawn("slice")
         for _ in range(n - m):
             rows.append([field.of(c) for c in slicer.vector(field, n, 10)])
@@ -179,11 +178,8 @@ def sample_contact_line(v: ProjVariety, m, seed) -> ContactConfig:
         if y is None:
             continue
         # f_m(y) = 0 means contact order above m, which taylor_cone_flag rejects
-        q = frame.submatrix(range(1, n + 1), range(n + 1)).apply_row(y)
-        if not any(q):
-            continue
         try:
-            return taylor_cone_flag(v, (p, tangent), q, m)
+            return taylor_cone_flag(v, (p, tangent), (frame, parts), y, m)
         except NonGeneralConfiguration:
             continue
     raise SamplingError("no rational contact line found within budget")
@@ -225,13 +221,9 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
     n = v.n
     m = cfg.m
     p, q = cfg.point, cfg.direction_point
-    partials = [univariate.restrict(d, p, q) for d in v.gradients[0]]
-
-    def coeff(f, j):
-        return f[j] if 0 <= j < len(f) else field.zero
-
-    rows = tuple(tuple([coeff(f, j) for f in partials] + [coeff(f, j - 1) for f in partials]) for j in range(m))
-    jac = Matrix._of(field, rows, 2 * len(partials))
+    grad = _gradient_along(v, p, q, m)
+    rows = tuple(g + (grad[j - 1] if j else (field.zero,) * (n + 1)) for j, g in enumerate(grad))
+    jac = Matrix._of(field, rows, 2 * (n + 1))
     if jac.rank() != m:
         raise NonGeneralConfiguration("non-general configuration, reseed (Jacobian rank)")
     ker = jac.nullspace()
@@ -249,22 +241,19 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
 
 
 def structural_kernel_homs(cfg: ContactConfig) -> HomSpace:
-    """Tangent directions fixing p with image inside T_L C_m / L."""
+    """Tangent directions fixing p with image inside T_L C_m / L.
+
+    The line's basis rows are p and q, so the hom p -> 0, q -> w + L is
+    the matrix with rows 0 and w in quotient coordinates.
+    """
     a = cfg.adapted
-    field = cfg.variety.field
-    top = cfg.flag[-1]  # T_L C_m
-    qrows = a.quotient_coords(top.basis).row_space_basis()
-    domain = Matrix(field, [cfg.point, cfg.direction_point])
-    zero_row = [field.zero] * (a.n + 1)
-    mats = []
-    for w in qrows.rows:
-        images = Matrix(field, [zero_row, list(a.lift_quotient(w))])
-        mats.append(tangent_from_action(a, domain, images).matrix)
-    return HomSpace(TANGENT, a, mats)
+    qrows = a.quotient_coords(cfg.flag[-1].basis).row_space_basis()  # T_L C_m / L
+    zero_row = (a.field.zero,) * qrows.ncols
+    return HomSpace(TANGENT, a, [Matrix._of(a.field, (zero_row, w), qrows.ncols) for w in qrows.rows])
 
 
 def cone_ideal(cfg: ContactConfig) -> Ideal:
-    """(f_1, ..., f_{m-1}) in the chart coordinates."""
+    """(f_1, ..., f_{m-1}) in the coordinates of the chart at p."""
     some = next(iter(cfg.chart_parts.values()))
     yring = some.ring
     gens = [cfg.chart_parts[k] for k in range(1, cfg.m) if k in cfg.chart_parts]

@@ -176,13 +176,6 @@ class Fp:
     def __repr__(self):
         return "%d" % self.v
 
-    def sqrt(self):
-        """The smallest square root in F_p, or None if there is none."""
-        from . import univariate  # imported here: univariate imports this module
-
-        found = univariate.roots([-self, Fp(0, self.p), Fp(1, self.p)], GF(self.p))
-        return found[0] if found else None
-
 
 class Kernel:
     """The matrix methods of a kernel, written once on its scalar methods."""

@@ -299,26 +299,18 @@ class Hom:
     def is_zero(self):
         return self.matrix.is_zero()
 
-    def kernel_in_domain(self):
-        """Left null space of the matrix: coordinates in the domain basis."""
-        return self.matrix.left_nullspace()
-
     def kernel_subspace(self) -> Subspace:
         """Tangent: kernel inside L.  Conormal: preimage in P^n of the
         quotient kernel (a subspace containing L)."""
-        ker = self.kernel_in_domain()
+        ker = self.matrix.left_nullspace()  # coordinates in the domain basis
         if self.direction == TANGENT:
             return _span_in_subspace(self.adapted, ker)
         return _subspace_plus_lifts(self.adapted, ker)
 
-    def image_in_codomain(self):
-        """Row space of the matrix: coordinates in the codomain basis."""
-        return self.matrix.row_space_basis()
-
     def image_subspace(self) -> Subspace:
         """Tangent: preimage in P^n of the quotient image (contains L).
         Conormal: image inside L."""
-        img = self.image_in_codomain()
+        img = self.matrix.row_space_basis()  # coordinates in the codomain basis
         if self.direction == TANGENT:
             return _subspace_plus_lifts(self.adapted, img)
         return _span_in_subspace(self.adapted, img)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .poly import PolyRing, standard_ring
 from .projvar import ProjVariety
 from .rng import Stream
@@ -70,8 +72,6 @@ def hypersurface(field, n, poly) -> ProjVariety:
 
 def random_hypersurface(field, n, degree, seed) -> ProjVariety:
     """Dense hypersurface of the given degree with seeded coefficients."""
-    from itertools import combinations_with_replacement
-
     ring = standard_ring(field, n + 1)
     stream = Stream(seed, "hypersurface", n, degree)
     terms = []

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from grassgeo.contact import _chart_parts
 from grassgeo.fields import Fp
+from grassgeo.grassmann import adapted_basis, hyperplane_subspace, perp_dual, point_subspace
+from grassgeo.projvar import ConormalWitness
 
 FP_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
                 "__neg__", "__pow__")
@@ -60,3 +63,59 @@ def _check_record(record, fields):
 def check_record():
     """Checks a record against its field names in their declared order; see `_check_record`."""
     return _check_record
+
+
+def _contact_chart(v, cfg, m=None):
+    """(chart, y) for calling `contact.taylor_cone_flag` again on a sampled contact line: the chart at its
+    point as `contact.sample_contact_line` builds it, (frame, pieces of f below degree m, cfg.m by default),
+    and the line's direction in it, the y with q = y @ (frame rows 1..n)."""
+    frame = adapted_basis(point_subspace(v.field, cfg.point)).full
+    y = frame.transpose().solve(cfg.direction_point)[1:]
+    return (frame, _chart_parts(v, frame, (cfg.m if m is None else m) - 1)[1]), y
+
+
+@pytest.fixture
+def contact_chart():
+    """The chart and direction of a sampled contact line; see `_contact_chart`."""
+    return _contact_chart
+
+
+# -- reference: the dual-side sample of an associated sample, which only the tests draw ----------------------
+
+
+def _transported_dual_sample(sample, v, dual):
+    """Dual-side sample (L-perp with witness (H-dual, x-dual)) + checks.
+
+    Returns (subspace, witness, checks) where checks is a list of
+    (name, bool) verifying it is a valid associated sample of the dual
+    variety at level n - ell - 1.
+    """
+    field = v.field
+    n = v.n
+    lperp = perp_dual(sample.subspace)
+    xprime = sample.witness.normal
+    hprime = hyperplane_subspace(field, sample.witness.point)
+    checks = []
+    on_dual = dual.contains_point(xprime)
+    tprime = dual.smooth_tangent_space(xprime) if on_dual else None  # one Jacobian; None where singular
+    checks.append(("dual point on dual variety", on_dual))
+    if on_dual:
+        checks.append(("dual point smooth", tprime is not None))
+        if tprime is not None:
+            checks.append(("dual tangent inside dual witness hyperplane", hprime.contains(tprime)))
+    checks.append(("perp contains dual point", lperp.contains_point(xprime)))
+    checks.append(("perp inside dual hyperplane", hprime.contains(lperp)))
+    checks.append(("level", lperp.ell == n - sample.ell - 1))
+    witness = ConormalWitness(
+        x=point_subspace(field, xprime),
+        h=hprime,
+        point=tuple(xprime),
+        normal=tuple(sample.witness.point),
+    )
+    return lperp, witness, checks
+
+
+@pytest.fixture
+def transported_dual_sample():
+    """The dual-side sample of an associated sample and its checks; see `_transported_dual_sample`."""
+    return _transported_dual_sample

@@ -19,7 +19,6 @@ from grassgeo.associated import (
     hypersurface_range,
     polar_degree,
     sample_associated,
-    transported_dual_sample,
 )
 from grassgeo.contact import (
     cone_dim_degree,
@@ -183,7 +182,7 @@ def test_criterion_04_strong_beta_rational_normal_quartic():
     _verdict(4, "level-1 family of rational normal quartic: strong, beta", ok)
 
 
-def test_criterion_05_duality_transport_quadric():
+def test_criterion_05_duality_transport_quadric(transported_dual_sample):
     v = quadric_surface(QQ)
     dual = dual_variety(v)
     ok = True

@@ -9,7 +9,6 @@ from grassgeo.associated import (
     hypersurface_range,
     polar_degree,
     sample_associated,
-    transported_dual_sample,
 )
 from grassgeo.errors import Unsupported
 from grassgeo.fields import GF, QQ
@@ -304,7 +303,7 @@ def test_associated_forms_need_a_parametrization_and_the_range_an_odd_characteri
         hypersurface_range(twisted_cubic(GF(2)))
 
 
-def test_duality_transport_quadric():
+def test_duality_transport_quadric(transported_dual_sample):
     v = quadric_surface(QQ)
     dual = dual_variety(v)
     for seed in range(5):

@@ -1,6 +1,7 @@
 import pytest
 
 from grassgeo.contact import (
+    _chart_parts,
     cone_dim_degree,
     contact_tangent_space,
     line_contact_order,
@@ -11,13 +12,67 @@ from grassgeo.contact import (
 )
 from grassgeo.errors import NonGeneralConfiguration
 from grassgeo.fields import GF, QQ
-from grassgeo.grassmann import trace_annihilator
+from grassgeo.grassmann import TANGENT, HomSpace, adapted_basis, tangent_from_action, trace_annihilator
+from grassgeo.linalg import Matrix
 from grassgeo.poly import standard_ring
 from grassgeo.projvar import ProjVariety
 from grassgeo.rng import Stream
 from grassgeo.varieties import fermat_hypersurface, random_hypersurface
 
 F = GF(32003)
+
+
+# -- references: the flag read in a second chart, and the structural homs by a change of basis --------------
+
+
+def _gradient_at_e1(fk, k):
+    """The gradient at e_1 of f_k, a form of degree k in y_1..y_n, read from its terms: only y_1^k and
+    the y_1^(k-1) y_j have partials that do not vanish at e_1, so the row is
+    (k c(y_1^k), c(y_1^(k-1) y_j) for j = 2..n)."""
+    n = fk.ring.nvars
+    row = [fk.coeff([k - 1 + (j == 0)] + [int(i == j) for i in range(1, n)]) for j in range(n)]
+    row[0] = k * row[0]
+    e1 = [fk.ring.field.one] + [fk.ring.field.zero] * (n - 1)
+    assert row == [d.evaluate(e1) for d in fk.gradient()]
+    return row
+
+
+def _line_chart_flag(cfg):
+    """Bases of T_L C_2, ..., T_L C_m read in the chart framed by the line's adapted basis, rows p, q and
+    a unit completion, where the line's direction is e_1: f is substituted into this chart afresh."""
+    v, m = cfg.variety, cfg.m
+    field, n = v.field, v.n
+    frame = adapted_basis(cfg.line).full
+    yring, parts = _chart_parts(v, frame, m - 1)
+    grad_rows = [_gradient_at_e1(parts.get(k, yring.zero()), k) for k in range(1, m)]
+    directions = frame.submatrix(range(1, n + 1), range(n + 1))
+    flag = []
+    for k in range(2, m + 1):
+        rows = Matrix(field, grad_rows[: k - 1])
+        assert rows.rank() == k - 1
+        flag.append(Matrix(field, [cfg.point]).stack(rows.nullspace() @ directions).row_space_basis())
+    return flag
+
+
+def _structural_homs_by_action(cfg):
+    """The homs p -> 0, q -> w + L for w spanning T_L C_m / L, rewritten on the adapted rows by
+    `tangent_from_action`."""
+    a, field = cfg.adapted, cfg.variety.field
+    qrows = a.quotient_coords(cfg.flag[-1].basis).row_space_basis()
+    domain = Matrix(field, [cfg.point, cfg.direction_point])
+    zero_row = [field.zero] * (a.n + 1)
+    mats = [tangent_from_action(a, domain, Matrix(field, [zero_row, a.lift_quotient(w)])).matrix for w in qrows.rows]
+    return HomSpace(TANGENT, a, mats)
+
+
+def _seeded_lines(field, n, degree, surfaces):
+    """(variety, contact line) pairs: two seeded lines for every m from 2 to min(n, degree) on each of
+    `surfaces` seeded hypersurfaces."""
+    for s in range(surfaces):
+        v = random_hypersurface(field, n, degree, seed=Stream(23, n, s).seed)
+        for m in range(2, min(n, degree) + 1):
+            for k in range(2):
+                yield v, sample_contact_line(v, m, seed=Stream(23, n, s, m, k).seed)
 
 
 def _fermat_cubic(field):
@@ -53,11 +108,12 @@ def test_m_exceeding_degree_rejected():
         sample_contact_line(v, 3, seed=1)
 
 
-def test_wrong_contact_order_rejected():
+def test_wrong_contact_order_rejected(contact_chart):
     v = _fermat_cubic(F)
     cfg = sample_contact_line(v, 2, seed=9)
+    chart, y = contact_chart(v, cfg, m=3)
     with pytest.raises(NonGeneralConfiguration):
-        taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), cfg.direction_point, 3)
+        taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), chart, y, 3)
 
 
 def test_tangent_space_dimensions():
@@ -115,3 +171,24 @@ def test_a_contact_line_is_a_record_in_its_field_order(check_record):
     cfg = sample_contact_line(_fermat_cubic(F), 3, seed=5)
     fields = ("variety", "m", "point", "direction_point", "line", "adapted", "chart_parts", "flag", "tangent_at_p")
     check_record(cfg, fields)
+
+
+@pytest.mark.parametrize("field", [F, GF(101)], ids=["GF32003", "GF101"])
+@pytest.mark.parametrize("n, degree, surfaces", [(3, 3, 3), (4, 4, 1)], ids=["cubic-surfaces", "quartic-threefold"])
+def test_the_flag_read_in_the_chart_at_p_equals_the_line_chart_flag(field, n, degree, surfaces):
+    seen = set()
+    for _, cfg in _seeded_lines(field, n, degree, surfaces):
+        assert [sub.basis for sub in cfg.flag] == _line_chart_flag(cfg)
+        seen.add(cfg.m)
+    assert seen == set(range(2, min(n, degree) + 1))
+
+
+@pytest.mark.parametrize("field", [F, GF(101)], ids=["GF32003", "GF101"])
+def test_structural_homs_are_written_without_a_change_of_basis(field):
+    v = random_hypersurface(field, 4, 4, seed=Stream(23, 4, 0).seed)
+    for k in range(3):
+        cfg = sample_contact_line(v, 3, seed=Stream(23, "structural", k).seed)
+        struct = structural_kernel_homs(cfg)
+        assert struct.dim == v.n - cfg.m == 1
+        assert struct.mats == _structural_homs_by_action(cfg).mats
+        assert contact_tangent_space(cfg).contains(struct.homs()[0])

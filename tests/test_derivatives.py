@@ -15,7 +15,7 @@ import pytest
 
 from grassgeo.associated import associated_tangent_pushforward, sample_associated
 from grassgeo.cli import BUILTIN_VARIETIES
-from grassgeo.contact import _gradient_at_e1, contact_tangent_space, sample_contact_line, taylor_cone_flag
+from grassgeo.contact import contact_tangent_space, sample_contact_line, taylor_cone_flag
 from grassgeo.errors import InvalidInput
 from grassgeo.fields import GF, QQ
 from grassgeo.grassmann import TANGENT, HomSpace, adapted_basis, subspace_from_rows, trace_annihilator
@@ -91,36 +91,14 @@ def test_contact_tangent_space_differentiates_nothing(count_diff):
     assert calls == []
 
 
-def test_contact_sampling_and_the_cone_flag_differentiate_nothing(count_diff):
+def test_contact_sampling_and_the_cone_flag_differentiate_nothing(count_diff, contact_chart):
     v = fermat_hypersurface(F, 3, 3)
     calls = count_diff()
     for m in (2, 3):
         cfg = sample_contact_line(v, m, seed=5)
-        assert len(taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), cfg.direction_point, m).flag) == m - 1
+        chart, y = contact_chart(v, cfg)
+        assert len(taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), chart, y, m).flag) == m - 1
     assert calls == []
-
-
-def _random_form(ring, rng, degree):
-    """A seeded form of the given degree with up to 8 terms (possibly zero)."""
-    terms = []
-    for _ in range(rng.randrange(9)):
-        e = [0] * ring.nvars
-        for _ in range(degree):
-            e[rng.randrange(ring.nvars)] += 1
-        terms.append((e, rng.randrange(-20, 21)))
-    return ring.from_terms(terms)
-
-
-@pytest.mark.parametrize("field", [QQ, GF(2), F], ids=["QQ", "GF2", "GF32003"])
-def test_chart_rows_read_from_terms_are_the_gradient_at_e1(field):
-    rng = random.Random("gradient-at-e1/%r" % field)
-    for n in (1, 2, 3, 4):
-        ring = PolyRing(field, tuple("y%d" % i for i in range(1, n + 1)))
-        e1 = [field.one] + [field.zero] * (n - 1)
-        for k in (1, 2, 3, 4):
-            for _ in range(6):
-                fk = _random_form(ring, rng, k)
-                assert _gradient_at_e1(fk, k) == [d.evaluate(e1) for d in fk.gradient()]
 
 
 # -- one Jacobian --------------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from grassgeo import associated, contact, grassmann, isoclass, univariate
-from grassgeo.associated import associated_conormal, sample_associated, transported_dual_sample
+from grassgeo.associated import associated_conormal, sample_associated
 from grassgeo.cli import main
 from grassgeo.contact import (
     contact_tangent_space,
@@ -95,22 +95,24 @@ def test_verify_contact_theorem_analyses_the_conormal_space_once(monkeypatch):
         monkeypatch.undo()
 
 
-def test_a_contact_line_has_one_adapted_basis(monkeypatch):
+def test_a_contact_line_has_one_adapted_basis(monkeypatch, contact_chart):
     for v, cfg in _contact_lines(3):
+        chart, y = contact_chart(v, cfg)
         calls = _counter(monkeypatch, contact, "adapted_basis")
         _counter(monkeypatch, grassmann, "adapted_basis", calls)
-        line = taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), cfg.direction_point, cfg.m)
+        line = taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), chart, y, cfg.m)
         assert line.adapted.subspace is line.line
         verify_contact_theorem(line)
         assert calls == [line.line]
         monkeypatch.undo()
 
 
-def test_a_contact_point_evaluates_one_jacobian(monkeypatch):
+def test_a_contact_point_evaluates_one_jacobian(monkeypatch, contact_chart):
     # the cone flag reads the tangent space that came with the sampled point
     for v, cfg in _contact_lines(3):
+        chart, y = contact_chart(v, cfg)
         calls = _counter(monkeypatch, ProjVariety, "jacobian_at")
-        line = taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), cfg.direction_point, cfg.m)
+        line = taylor_cone_flag(v, (cfg.point, cfg.tangent_at_p), chart, y, cfg.m)
         assert calls == []
         assert line.tangent_at_p.same_as(v.smooth_tangent_space(cfg.point))
         monkeypatch.undo()
@@ -125,7 +127,19 @@ def test_a_contact_point_evaluates_one_jacobian(monkeypatch):
         monkeypatch.undo()
 
 
-def test_the_dual_side_evaluates_one_jacobian(monkeypatch):
+def test_a_contact_point_substitutes_f_into_one_chart(monkeypatch):
+    # the direction is found and the flag read in the chart at p: one `_chart_parts` per point drawn
+    for s in range(3):
+        v = random_hypersurface(F, 3, 3, seed=100 + s)
+        for m in (2, 3):
+            charts = _counter(monkeypatch, contact, "_chart_parts")
+            points = _counter(monkeypatch, contact, "sample_smooth_point")
+            sample_contact_line(v, m, seed=Stream(7, s).seed)
+            assert len(charts) == len(points) >= 1
+            monkeypatch.undo()
+
+
+def test_the_dual_side_evaluates_one_jacobian(monkeypatch, transported_dual_sample):
     v = quadric_surface(QQ)
     dual = dual_variety(v)
     for seed in range(3):

@@ -5,9 +5,11 @@ wraps `Matrix.rref` and `Matrix.det`, so a renamed or deleted function
 would break a traced benchmark run without failing any other test.
 The tracer also finds each traced module in `sys.modules` right after
 `import grassgeo.cli`, so that import loads every one of them, and it
-loads none of the standard library's heavy introspection modules.
+loads none of the standard library's heavy introspection modules.  For
+that import to load everything, no function in `grassgeo` imports.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -47,3 +49,15 @@ def test_importing_the_cli_loads_every_traced_module_and_no_introspection_module
     loaded = set(json.loads(out))
     assert not loaded & {"dataclasses", "inspect", "ast"}
     assert {"grassgeo." + module for module in tracer.TRACED} <= loaded
+
+
+def test_no_function_in_grassgeo_imports():
+    # `grassgeo.cli` imports every module eagerly (README): an import inside a function hides work from that
+    # import and from the tracer's module lookup
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "grassgeo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += ["%s:%d %s" % (path.name, inner.lineno, node.name) for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []
