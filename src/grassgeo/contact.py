@@ -11,8 +11,10 @@ of f(a + t*b), pushed along the row-space chart, and its trace
 annihilator gives the conormal space whose rank-one structure the
 verification checks point by point.  A sampled line keeps its adapted
 basis (rows p, q and a unit completion, in which its homs are written),
-the tangent space drawn with p, and the pieces of f in the chart at p;
-f is substituted into one chart per sampled point.
+the tangent space drawn with p, the pieces of f in the chart at p and
+the partials of f restricted to the line, which give both the flag and
+the family's tangent space; f is substituted into one chart per sampled
+point.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class ContactConfig(namedtuple("ContactConfig", (
     "m",
     "point",  # p, the contact point
     "direction_point",  # q, a second point of the line
+    "line_gradient",  # rows j < m: the t^j coefficient of grad f(p + t*q)
     "line",
     "adapted",  # the line's adapted basis, rows p, q and a unit completion: the homs at L are written in it
     "chart_parts",  # degree -> graded piece of f, for degrees below m, in the chart at p that found q
@@ -114,8 +117,9 @@ def taylor_cone_flag(v: ProjVariety, sample, chart, y, m) -> ContactConfig:
     if order != m:
         raise NonGeneralConfiguration("line has contact order %r, wanted %d" % (order, m))
     line = subspace_from_rows(field, n, [p, q])
+    along = _gradient_along(v, p, q, m)
     # row k - 1 is grad f_k(y): by the chain rule, the t^(k-1) coefficient of grad f(p + t q) on the directions
-    grad_rows = Matrix._of(field, _gradient_along(v, p, q, m - 1), n + 1) @ directions.transpose()
+    grad_rows = Matrix._of(field, along[: m - 1], n + 1) @ directions.transpose()
     flag = []
     for k in range(2, m + 1):
         rows = grad_rows.submatrix(range(k - 1), range(n))
@@ -136,6 +140,7 @@ def taylor_cone_flag(v: ProjVariety, sample, chart, y, m) -> ContactConfig:
         m=m,
         point=p,
         direction_point=q,
+        line_gradient=along,
         line=line,
         adapted=adapted_basis(line),
         chart_parts=parts,
@@ -220,8 +225,7 @@ def contact_tangent_space(cfg: ContactConfig) -> HomSpace:
     field = v.field
     n = v.n
     m = cfg.m
-    p, q = cfg.point, cfg.direction_point
-    grad = _gradient_along(v, p, q, m)
+    grad = cfg.line_gradient
     rows = tuple(g + (grad[j - 1] if j else (field.zero,) * (n + 1)) for j, g in enumerate(grad))
     jac = Matrix._of(field, rows, 2 * (n + 1))
     if jac.rank() != m:

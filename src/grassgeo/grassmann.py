@@ -514,11 +514,3 @@ def perp_dual_hom(h: Hom) -> Hom:
         return tangent_from_action(pa, dual_sub, m.transpose() @ dual_quot)
     # conormal: psi*(class of dual A_i) = sum_j M[j,i] * (dual of quotient class j)
     return conormal_from_action(pa, dual_quot, m.transpose() @ dual_sub)
-
-
-def perp_dual_space(space: HomSpace) -> HomSpace:
-    homs = [perp_dual_hom(h) for h in space.homs()]
-    if not homs:
-        perp = perp_dual(space.adapted.subspace)
-        return HomSpace(space.direction, adapted_basis(perp), [])
-    return HomSpace(homs[0].direction, homs[0].adapted, [h.matrix for h in homs])

@@ -14,8 +14,8 @@ The basis keeps two invariants.  Every element is monic, so an
 S-polynomial needs no inverse.  Every element is fully reduced by the
 earlier ones before it is added, so no added lead is divisible by an
 earlier lead.  Hence interreduction takes one pass: it drops each
-element whose lead another lead divides and reduces each survivor once
-by the other survivors.
+element whose lead a later lead divides (no earlier one can) and
+reduces each survivor once by the other survivors.
 
 `buchberger` packs its input once and unpacks its result once (Monagan
 & Pearce 2007, "Polynomial division using dynamic arrays, heaps, and
@@ -40,6 +40,15 @@ before any shifted term is made; a term at the limit raises
 `Unsupported`, naming the limit.  Coefficients are the raw scalars of
 the field's kernel (ints mod p, Fractions), and a reduction leaves the
 sums unreduced until their term is popped.
+
+A reduction starts from two maps, K -> unreduced coefficient and K -> E,
+and pushes their keys onto its term heap.  An S-pair enters it as the
+two shifted tails written straight into those maps, at the K(lcm) its
+pair-heap entry holds; nothing is sorted, reduced or packed first.
+The basis is kept as (lead E, element) pairs, the form in which a
+reduction tries its reducers, so no reduction rebuilds a list of leads.
+When an element is added, its lcm with each earlier lead is computed
+once and serves criterion B, the lcm classes and criteria M and F.
 
 A budget bounds the work of each call, counted in term operations: each
 reduction step costs the number of terms of the basis element it
@@ -155,29 +164,32 @@ class _Packed:
             self._top = reduce(self.packing.lcm, [e for _, e, _ in self.terms], 0)
         return self._top
 
+    def maps(self):
+        """K -> c and K -> E of the terms, the input of `_reduce_full`."""
+        return {t: c for t, _, c in self.terms}, {t: e for t, e, _ in self.terms}
+
     def monic(self):
         k = self.packing.kernel
         cs = k.scale([c for _, _, c in self.terms], k.inv(self.terms[0][2]))
         return _Packed(self.packing, [(t, e, c) for (t, e, _), c in zip(self.terms, cs)])
 
 
-def _reduce_full(p: _Packed, basis, budget: _Budget) -> _Packed:
-    """Full normal form of p modulo the (monic) basis.
+def _reduce_full(pk: _Packing, work, mono, reducers, budget: _Budget) -> _Packed:
+    """Full normal form of the polynomial with terms work and mono modulo a monic basis.
 
-    Terms wait in a heap of -K, so the largest is popped next.  A reduction
-    step only makes terms below the one it removes, so each monomial is
-    pushed once and popped once; its coefficient is reduced when popped,
-    and one that has cancelled is skipped.
+    work maps K to the term's unreduced coefficient and mono maps K to its
+    E; both are consumed.  reducers holds a (lead E, element) pair for
+    each basis element, in the order they are tried.  Terms wait in a
+    heap of -K, so the largest is popped next.  A reduction step only
+    makes terms below the one it removes, so each monomial is pushed once
+    and popped once; its coefficient is reduced when popped, and one that
+    has cancelled is skipped.
     """
-    pk = p.packing
     guard = pk.guard
     norm = pk.kernel.reduce
-    work = {t: c for t, _, c in p.terms}
-    mono = {t: e for t, e, _ in p.terms}
     heap = [-t for t in work]
     heapify(heap)
     rem = []
-    leads = [(g.terms[0][1], g) for g in basis]
     while heap:
         t = -heappop(heap)
         c = norm(work.pop(t))
@@ -185,7 +197,7 @@ def _reduce_full(p: _Packed, basis, budget: _Budget) -> _Packed:
             continue
         e = mono.pop(t)
         eg = e | guard
-        for le, g in leads:
+        for le, g in reducers:
             if (eg - le) & guard == guard:
                 break
         else:
@@ -209,10 +221,12 @@ def _reduce_full(p: _Packed, basis, budget: _Budget) -> _Packed:
     return _Packed(pk, rem)
 
 
-def _spoly(f: _Packed, g: _Packed) -> _Packed:
-    """x^(l - lead f)*f - x^(l - lead g)*g for l = lcm(lead f, lead g); f and g are monic.
+def _spoly(f: _Packed, g: _Packed, tl):
+    """x^(l - lead f)*f - x^(l - lead g)*g for l = lcm(lead f, lead g), as `_reduce_full`'s term maps.
 
-    Both leads cancel, so this is the shifted tail of f minus the shifted tail of g.
+    f and g are monic and tl is K(l), so both leads cancel: the result is
+    the shifted tail of f minus the shifted tail of g, with coefficients
+    left unreduced.
     """
     pk = f.packing
     (tf, ef, _), (tg, eg, _) = f.terms[0], g.terms[0]
@@ -220,50 +234,57 @@ def _spoly(f: _Packed, g: _Packed) -> _Packed:
     sf, sg = l - ef, l - eg
     if (f.top + sf) & pk.guard or (g.top + sg) & pk.guard:
         raise _overflow()
-    tl = pk.key(l)
     dtf, dtg = tl - tf, tl - tg
-    d = {t + dtf: (e + sf, c) for t, e, c in islice(f.terms, 1, None)}
+    work = {t + dtf: c for t, _, c in islice(f.terms, 1, None)}
+    mono = {t + dtf: e + sf for t, e, _ in islice(f.terms, 1, None)}
     for t, e, c in islice(g.terms, 1, None):
         t += dtg
-        e0, c0 = d.get(t, (e + sg, 0))
-        d[t] = (e0, c0 - c)
-    ts = sorted(d, reverse=True)
-    cs = pk.kernel.reduce_all([d[t][1] for t in ts])
-    return _Packed(pk, [(t, d[t][0], c) for t, c in zip(ts, cs) if c])
+        s = work.get(t)
+        if s is None:
+            work[t] = -c
+            mono[t] = e + sg
+        else:
+            work[t] = s - c
+    return work, mono
 
 
-def _update(leads, live, heap, pk):
-    """Gebauer-Moeller update after appending a basis element with lead leads[-1].
+def _update(basis, live, heap, pk):
+    """Gebauer-Moeller update after appending a basis element.
 
-    `live` maps each pending pair (i, j) to its lcm; `heap` orders the
-    pairs by (K(lcm), i, j).  Old pairs that the new lead makes
-    redundant (criterion B) leave `live` and are skipped when popped.
-    Of the new pairs, those whose lcm is a proper multiple of another new
-    pair's lcm go (M), a class of equal lcms goes whole when one of its
-    pairs has coprime leads (product criterion) and keeps one pair
-    otherwise (F).
+    `basis` holds (lead E, element) pairs, the new one last.  `live`
+    maps each pending pair (i, j) to its lcm; `heap` orders the pairs by
+    (K(lcm), i, j).  Old pairs that the new lead makes redundant
+    (criterion B) leave `live` and are skipped when popped.  Of the new
+    pairs, those whose lcm is a proper multiple of another new pair's
+    lcm go (M), a class of equal lcms goes whole when one of its pairs
+    has coprime leads (product criterion) and keeps one pair otherwise
+    (F).  Each lcm with the new lead is computed once and serves all
+    three.
     """
-    new = len(leads) - 1
-    h = leads[new]
+    new = len(basis) - 1
+    h = basis[new][0]
     lcm, guard = pk.lcm, pk.guard
+    lcms = [lcm(e, h) for e, _ in islice(basis, new)]
     for (i, j), l in list(live.items()):
-        if ((l | guard) - h) & guard == guard and lcm(leads[i], h) != l and lcm(leads[j], h) != l:
+        if ((l | guard) - h) & guard == guard and lcms[i] != l and lcms[j] != l:
             del live[i, j]
     classes = {}
-    for k in range(new):
-        classes.setdefault(lcm(leads[k], h), []).append(k)
+    for k, l in enumerate(lcms):
+        classes.setdefault(l, []).append(k)
     # a proper divisor is a smaller int, and divisibility is transitive,
     # so M only needs the lcms already found minimal
     minimal = []
     for l in sorted(classes):
         lg = l | guard
-        if any((lg - m) & guard == guard for m in minimal):
-            continue
-        minimal.append(l)
-        ks = classes[l]
-        if not any(leads[k] + h == l for k in ks):  # coprime leads: the lcm is the product
-            live[ks[0], new] = l
-            heappush(heap, (pk.key(l), ks[0], new))
+        for m in minimal:
+            if (lg - m) & guard == guard:
+                break
+        else:
+            minimal.append(l)
+            ks = classes[l]
+            if not any(basis[k][0] + h == l for k in ks):  # coprime leads: the lcm is the product
+                live[ks[0], new] = l
+                heappush(heap, (pk.key(l), ks[0], new))
 
 
 def buchberger(gens, budget=DEFAULT_BUDGET):
@@ -282,39 +303,40 @@ def buchberger(gens, budget=DEFAULT_BUDGET):
     bud = _Budget(budget)
     pk = _Packing(ring)
 
-    basis, leads, live, heap = [], [], {}, []
+    basis, live, heap = [], {}, []  # basis: (lead E, element) pairs, as `_reduce_full` tries them
 
     def insert(r):
         r = r.monic()
-        basis.append(r)
-        leads.append(r.terms[0][1])
-        _update(leads, live, heap, pk)
+        basis.append((r.terms[0][1], r))
+        _update(basis, live, heap, pk)
 
     for g in sorted(map(pk.pack, gens), key=lambda q: q.terms[0][0]):
-        r = _reduce_full(g, basis, bud)
+        r = _reduce_full(pk, *g.maps(), basis, bud)
         if r:
             insert(r)
     while heap:
         bud.spend()
-        i, j = heappop(heap)[1:]
+        tl, i, j = heappop(heap)
         if live.pop((i, j), None) is None:
             continue
-        r = _reduce_full(_spoly(basis[i], basis[j]), basis, bud)
+        r = _reduce_full(pk, *_spoly(basis[i][1], basis[j][1], tl), basis, bud)
         if r:
             insert(r)
-    return [pk.unpack(g) for g in _autoreduce(basis, bud)]
+    return [pk.unpack(g) for g in _autoreduce([g for _, g in basis], bud)]
 
 
 def _autoreduce(basis, bud):
     """The reduced basis from `buchberger`'s basis in one pass, sorted by (degree, order).
 
-    No other lead divides a survivor's lead, so reducing a survivor once
-    by the others keeps its lead and leaves a standard tail.
+    No earlier lead divides a later one, so an element goes when a later
+    lead divides its lead.  No other lead divides a survivor's lead, so
+    reducing a survivor once by the others keeps its lead and leaves a
+    standard tail.
     """
     pk = basis[0].packing
     leads = [g.terms[0][1] for g in basis]
-    keep = [g for g, e in zip(basis, leads) if not any(d != e and pk.divides(d, e) for d in leads)]
-    out = [_reduce_full(g, keep[:i] + keep[i + 1 :], bud) for i, g in enumerate(keep)]
+    keep = [(e, g) for i, (e, g) in enumerate(zip(leads, basis)) if not any(pk.divides(d, e) for d in leads[i + 1 :])]
+    out = [_reduce_full(pk, *g.maps(), keep[:i] + keep[i + 1 :], bud) for i, (_, g) in enumerate(keep)]
     out.sort(key=lambda g: (pk.degree(g.terms[0][1]), g.terms[0][0]))
     return out
 
@@ -338,8 +360,8 @@ def normal_form(p: Poly, ideal: Ideal) -> Poly:
     if p.ring != ideal.ring:
         raise FieldMismatch("polynomial not in the ideal's ring")
     pk = _Packing(p.ring)
-    basis = [pk.pack(g) for g in groebner(ideal).gens]
-    return pk.unpack(_reduce_full(pk.pack(p), basis, _Budget(DEFAULT_BUDGET)))
+    reducers = [(g.terms[0][1], g) for g in map(pk.pack, groebner(ideal).gens)]
+    return pk.unpack(_reduce_full(pk, *pk.pack(p).maps(), reducers, _Budget(DEFAULT_BUDGET)))
 
 
 def eliminate(ideal: Ideal, keep_vars) -> Ideal:

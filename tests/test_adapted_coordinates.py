@@ -213,5 +213,6 @@ def test_a_contact_report_coerces_only_its_inputs(monkeypatch):
     _run(CONTACT_REPORT)
     # the cone flag reads the tangent space sampled with its point, and a Jacobian lifts only its
     # constant partials, of which this surface has none; the flag's rows restrict the partials of f
-    # to the line, which unwraps fewer scalars than substituting f into a second chart did
-    assert len(coerced) == 3603  # 6473 before kept blocks, 3985 before these two, 3633 with the second chart
+    # to the line once, and the family's tangent space reads that restriction off the contact line
+    assert len(coerced) == 3213  # 6473 before kept blocks, 3985 before these two, 3633 with the second
+    # chart, 3603 with a second restriction for the tangent space

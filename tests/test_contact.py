@@ -169,7 +169,10 @@ def test_cone_degree_over_two_seeds():
 
 def test_a_contact_line_is_a_record_in_its_field_order(check_record):
     cfg = sample_contact_line(_fermat_cubic(F), 3, seed=5)
-    fields = ("variety", "m", "point", "direction_point", "line", "adapted", "chart_parts", "flag", "tangent_at_p")
+    fields = (
+        "variety", "m", "point", "direction_point", "line_gradient", "line", "adapted", "chart_parts", "flag",
+        "tangent_at_p",
+    )
     check_record(cfg, fields)
 
 

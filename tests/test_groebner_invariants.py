@@ -4,15 +4,22 @@ Every basis element is monic, and no lead of the unreduced basis divides
 a later lead.  So `_spoly` needs no inverse and `_autoreduce` needs one
 pass; both are compared here with the general formulas they replace.
 The helpers run on packed polynomials; the tests convert at their own
-boundary with the module's `_Packing.pack` and `_Packing.unpack`.
+boundary with the module's `_Packing.pack` and `_Packing.unpack`.  The
+work of each `buchberger` call of the `elimination` benchmark's reports
+is pinned, so a change that moves a budget charge or alters the basis
+it interreduces shows.
 """
 
+import contextlib
+import io
+import json
 import random
 from operator import sub
 
 import pytest
 
 from grassgeo import associated, groebner
+from grassgeo.cli import main
 from grassgeo.fields import GF, QQ
 from grassgeo.groebner import _Budget, _autoreduce, _Packing, _reduce_full, _spoly, buchberger
 from grassgeo.poly import DEGREVLEX, LEX, BlockOrder, PolyRing, monomial_divides
@@ -34,7 +41,8 @@ def monomial_sub(a, b):
 def _reduce_full_poly(p, basis, bud):
     """`_reduce_full` on Polys."""
     pk = _Packing(p.ring)
-    return pk.unpack(_reduce_full(pk.pack(p), [pk.pack(g) for g in basis], bud))
+    reducers = [(g.terms[0][1], g) for g in map(pk.pack, basis)]
+    return pk.unpack(_reduce_full(pk, *pk.pack(p).maps(), reducers, bud))
 
 
 def _fixpoint_autoreduce(basis, bud):
@@ -68,6 +76,13 @@ def _general_spoly(f, g):
     mf = ring.monomial(monomial_sub(l, ef), ring.field.one / cf)
     mg = ring.monomial(monomial_sub(l, eg), ring.field.one / cg)
     return mf * f - mg * g
+
+
+def _spoly_poly(pk, f, g):
+    """`_spoly` on Polys: its term maps, reduced by an empty basis, which charges nothing."""
+    pf, pg = pk.pack(f), pk.pack(g)
+    tl = pk.key(pk.lcm(pf.terms[0][1], pg.terms[0][1]))
+    return pk.unpack(_reduce_full(pk, *_spoly(pf, pg, tl), [], _Budget(0)))
 
 
 def _seeded_gens(ring, seed):
@@ -125,10 +140,10 @@ def test_interreduction_reduces_each_survivor_once(monkeypatch):
             super().__init__(n)
             budgets.append(self)
 
-    def counted_reduce(p, basis, bud):
+    def counted_reduce(pk, work, mono, reducers, bud):
         if in_autoreduce[0]:
             reductions[-1] += 1
-        return _reduce_full(p, basis, bud)
+        return _reduce_full(pk, work, mono, reducers, bud)
 
     def counted_autoreduce(basis, bud):
         reductions.append(0)
@@ -148,6 +163,46 @@ def test_interreduction_reduces_each_survivor_once(monkeypatch):
     assert sum(b.limit - b.left for b in budgets) == 1414
 
 
+# reports of the `elimination` benchmark plan, one per command and field; the quadric is a
+# diagonal quadric surface with coefficients in [1, 60], as the plan draws them
+ELIMINATION_REPORTS = {
+    "dualize": ["dualize", "--variety", "quadric.json"],
+    "chow": ["chow", "--variety", "twisted-cubic", "--samples", "2", "--seed", "5"],
+    "hurwitz": ["hurwitz", "--variety", "twisted-cubic", "--samples", "2", "--seed", "5"],
+}
+
+# (term operations spent, length of the basis handed to `_autoreduce`) of each `buchberger` call:
+# the twisted cubic's own ideal (read for its codimension), the elimination and, for chow, the
+# Pluecker relation and the ideal of its principality check
+CHOW = [(6, 3), (1405, 32), (0, 1), (59, 4)]
+HURWITZ = [(6, 3), (40, 6)]
+BUCHBERGER_WORK = {
+    ("dualize", "q"): [(1613, 65)],
+    ("dualize", "fp:32003"): [(1613, 65)],
+    ("chow", "q"): CHOW,
+    ("chow", "fp:32003"): CHOW,
+    ("hurwitz", "q"): HURWITZ,
+    ("hurwitz", "fp:32003"): HURWITZ,
+}
+
+
+@pytest.mark.parametrize("command, field", sorted(BUCHBERGER_WORK))
+def test_elimination_reports_pin_the_work_of_each_buchberger_call(command, field, tmp_path, monkeypatch):
+    work = []
+
+    def counted_autoreduce(basis, bud):
+        out = _autoreduce(basis, bud)
+        work.append((bud.limit - bud.left, len(basis)))
+        return out
+
+    monkeypatch.setattr(groebner, "_autoreduce", counted_autoreduce)
+    (tmp_path / "quadric.json").write_text(json.dumps({"n": 3, "generators": ["17*x0^2 + 4*x1^2 + 39*x2^2 + 52*x3^2"]}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in ELIMINATION_REPORTS[command]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + ["--field", field]) == 0
+    assert work == BUCHBERGER_WORK[command, field]
+
+
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 def test_spoly_of_monic_elements_divides_nothing(field_name, count_fp_operators, monkeypatch):
     field = FIELDS[field_name]
@@ -161,7 +216,7 @@ def test_spoly_of_monic_elements_divides_nothing(field_name, count_fp_operators,
     inverses = []
     monkeypatch.setattr(type(field.kernel), "inv", lambda k, x: inverses.append(x))
     calls = count_fp_operators()
-    got = [pk.unpack(_spoly(pk.pack(f), pk.pack(g))) for f, g in pairs]
+    got = [_spoly_poly(pk, f, g) for f, g in pairs]
     assert "__truediv__" not in calls and "__rtruediv__" not in calls
     assert got == expected
     # the coefficients are raw kernel scalars: no Fp operator runs, and no kernel inverse is taken

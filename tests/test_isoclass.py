@@ -11,7 +11,8 @@ from grassgeo.grassmann import (
     HomSpace,
     adapted_basis,
     homs_with_kernel_containing,
-    perp_dual_space,
+    perp_dual,
+    perp_dual_hom,
     subspace_from_rows,
 )
 from grassgeo.isoclass import (
@@ -26,6 +27,15 @@ from grassgeo.isoclass import (
 )
 from grassgeo.linalg import Matrix
 from grassgeo.poly import PolyRing
+
+
+def perp_dual_space(space: HomSpace) -> HomSpace:
+    """Reference: the hom space transported along L |-> Ann(L), hom by hom."""
+    homs = [perp_dual_hom(h) for h in space.homs()]
+    if not homs:
+        perp = perp_dual(space.adapted.subspace)
+        return HomSpace(space.direction, adapted_basis(perp), [])
+    return HomSpace(homs[0].direction, homs[0].adapted, [h.matrix for h in homs])
 
 
 def _line_adapted(field=QQ, n=3):
