@@ -41,7 +41,7 @@ from .grassmann import (
     trace_annihilator,
 )
 from .groebner import normal_form
-from .isoclass import classify
+from .isoclass import CheckList, classify
 from .linalg import Matrix
 from .osc import (
     ParamCurve,
@@ -126,18 +126,6 @@ def fmt_subspace(field, s: Subspace):
 
 def _digest(payload) -> str:
     return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-class CheckList:
-    def __init__(self):
-        self.items = []
-
-    def add(self, name, ok, detail=""):
-        self.items.append({"name": name, "ok": bool(ok), "detail": str(detail)})
-        return ok
-
-    def all_ok(self):
-        return all(c["ok"] for c in self.items)
 
 
 def _sampled_members(v, ell, count, seed):
@@ -259,7 +247,7 @@ def cmd_contact(args, field):
     for k in range(args.samples):
         cfg = sample_contact_line(v, args.m, seed=Stream(args.seed, "c", k).seed)
         rep = verify_contact_theorem(cfg)
-        checks.add("sample %d contact theorem" % k, rep.passed() and rep.verdict == "coisotropic")
+        checks.add("sample %d contact theorem" % k, rep.checks.all_ok() and rep.verdict == "coisotropic")
         payload = rep.to_jsonable(field)
         payload["point"] = fmt_vector(field, cfg.point)
         payload["line"] = fmt_subspace(field, cfg.line)
@@ -393,7 +381,7 @@ def run(argv=None):
         "seed": args.seed,
         "inputs_digest": _digest({"command": args.command, "inputs": inputs, "field": args.field, "seed": args.seed}),
         "results": results,
-        "checks": checks.items,
+        "checks": checks,
         "ok": checks.all_ok(),
     }
     print(json.dumps(report, sort_keys=True, indent=1))

@@ -290,24 +290,25 @@ def verify_contact_theorem(cfg: ContactConfig) -> ClassificationReport:
     tangent = contact_tangent_space(cfg)
     conormal = trace_annihilator(tangent)
     rep = classify(conormal, "coisotropic", family_dim=(tangent.dim))
-    rep.check("conormal dimension = m-1", conormal.dim == m - 1, "dim %d" % conormal.dim)
+    rep.checks.add("conormal dimension = m-1", conormal.dim == m - 1, "dim %d" % conormal.dim)
     locus = rank_one_locus(conormal)
-    rep.check("unique rank-one conormal", len(locus.points) == 1 and locus.complete)
+    rep.checks.add("unique rank-one conormal", len(locus.points) == 1 and locus.complete)
     if len(locus.points) == 1:
         lam, matr, _ = locus.points[0]
         h = Hom(CONORMAL, matr, conormal.adapted)
-        rep.check("rank-one image is the contact point", h.image_subspace().same_as(point_subspace(v.field, cfg.point)))
-        rep.check("rank-one kernel is the tangent hyperplane", h.kernel_subspace().same_as(cfg.tangent_at_p))
+        image_ok = h.image_subspace().same_as(point_subspace(v.field, cfg.point))
+        rep.checks.add("rank-one image is the contact point", image_ok)
+        rep.checks.add("rank-one kernel is the tangent hyperplane", h.kernel_subspace().same_as(cfg.tangent_at_p))
     try:
         cert = segre_tangency_certificate(conormal)
-        rep.check("Segre multiplicity = m-1", cert.multiplicity == m - 1, "mult %r" % (cert.multiplicity,))
-        rep.check("Segre Bezout total", cert.bezout_total_ok)
+        rep.checks.add("Segre multiplicity = m-1", cert.multiplicity == m - 1, "mult %r" % (cert.multiplicity,))
+        rep.checks.add("Segre Bezout total", cert.bezout_total_ok)
         rep.flags["segre_tangency"] = cert.multiplicity == m - 1 and cert.unique_point
         if rep.flags["segre_tangency"]:
             rep.verdict = "coisotropic"
     except CertificateNotApplicable as exc:  # recorded, not thrown
-        rep.check("Segre certificate", False, str(exc))
+        rep.checks.add("Segre certificate", False, str(exc))
     struct = structural_kernel_homs(cfg)
     ok = all(tangent.contains(h) for h in struct.homs())
-    rep.check("kernel-direction homs inside the tangent space", ok)
+    rep.checks.add("kernel-direction homs inside the tangent space", ok)
     return rep

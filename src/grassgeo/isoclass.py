@@ -187,6 +187,19 @@ def _point_multiplicity(ideal: Ideal, lam):
 # classification
 
 
+class CheckList(list):
+    """Named checks in the order they were made, each {"name", "ok", "detail"}; a report prints the list."""
+
+    __slots__ = ()
+
+    def add(self, name, ok, detail=""):
+        self.append({"name": name, "ok": bool(ok), "detail": str(detail)})
+        return ok
+
+    def all_ok(self):
+        return all(c["ok"] for c in self)
+
+
 class ClassificationReport:
     """A verdict with the flags, witnesses and checks behind it; `classify`
     and the contact verification fill it in."""
@@ -202,14 +215,7 @@ class ClassificationReport:
         self.type_tag = "none"
         self.verdict = "inconclusive"
         self.witnesses = []
-        self.checks = []
-
-    def check(self, name, ok, detail=""):
-        self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        return ok
-
-    def passed(self):
-        return all(c["ok"] for c in self.checks)
+        self.checks = CheckList()
 
     def to_jsonable(self, field_desc=None):
         def fmt(x):
@@ -299,7 +305,7 @@ def classify(space: HomSpace, mode: str, family_dim=None) -> ClassificationRepor
             locus = None
         if locus is not None:
             if locus.positive_dimensional:
-                rep.check("rank-one locus positive dimensional", True, "flagged")
+                rep.checks.add("rank-one locus positive dimensional", True, "flagged")
             flat = []
             for lam, matr, mult in locus.points:
                 flat.append([x for r in matr.rows for x in r])
@@ -307,7 +313,7 @@ def classify(space: HomSpace, mode: str, family_dim=None) -> ClassificationRepor
             if flat and Matrix(a.field, flat).rank() == space.dim:
                 spanned = True
             if not locus.complete:
-                rep.check("rank-one locus rational", False, "irrational locus")
+                rep.checks.add("rank-one locus rational", False, "irrational locus")
     rep.flags["rank_one_spanned"] = spanned
     # type tag
     if hyp:
@@ -315,7 +321,7 @@ def classify(space: HomSpace, mode: str, family_dim=None) -> ClassificationRepor
     elif strong and space.dim >= 2:
         tag, witness_sub = alpha_beta_type(space)
         rep.type_tag = tag
-        rep.check("alpha/beta witness dimension", witness_sub.ell >= -1)
+        rep.checks.add("alpha/beta witness dimension", witness_sub.ell >= -1)
     elif spanned and not strong:
         rep.type_tag = "mixed"
     else:

@@ -27,10 +27,6 @@ def twisted_cubic(field) -> ProjVariety:
     return rational_normal_curve(field, 3)
 
 
-def plane_conic(field) -> ProjVariety:
-    return rational_normal_curve(field, 2)
-
-
 def quadric_surface(field) -> ProjVariety:
     """The smooth quadric x0*x3 - x1*x2 in P^3 with its chart map."""
     ring = standard_ring(field, 4)
@@ -63,13 +59,6 @@ def segre(field, a, b) -> ProjVariety:
     return ProjVariety(ring, gens, parametrization=(pring, coords))
 
 
-def hypersurface(field, n, poly) -> ProjVariety:
-    ring = poly.ring
-    if ring.nvars != n + 1:
-        raise ValueError("polynomial must live in %d variables" % (n + 1))
-    return ProjVariety(ring, [poly])
-
-
 def random_hypersurface(field, n, degree, seed) -> ProjVariety:
     """Dense hypersurface of the given degree with seeded coefficients."""
     ring = standard_ring(field, n + 1)
@@ -84,12 +73,4 @@ def random_hypersurface(field, n, degree, seed) -> ProjVariety:
     if not f or f.total_degree() != degree:
         # vanishing leading data is astronomically unlikely; reseed deterministically
         return random_hypersurface(field, n, degree, seed + 911)
-    return ProjVariety(ring, [f])
-
-
-def fermat_hypersurface(field, n, degree) -> ProjVariety:
-    ring = standard_ring(field, n + 1)
-    f = ring.zero()
-    for x in ring.gens():
-        f = f + x**degree
     return ProjVariety(ring, [f])

@@ -4,8 +4,9 @@ import pytest
 
 from grassgeo.contact import _chart_parts
 from grassgeo.fields import Fp
-from grassgeo.grassmann import adapted_basis, hyperplane_subspace, perp_dual, point_subspace
+from grassgeo.grassmann import adapted_basis, hyperplane_subspace, point_subspace
 from grassgeo.projvar import ConormalWitness
+from references import perp_dual
 
 FP_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
                 "__neg__", "__pow__")

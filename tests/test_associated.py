@@ -24,12 +24,12 @@ from grassgeo.poly import Ideal, standard_ring
 from grassgeo.projvar import ProjVariety, dual_variety
 from grassgeo.rng import Stream
 from grassgeo.varieties import (
-    plane_conic,
     quadric_surface,
     rational_normal_curve,
     segre,
     twisted_cubic,
 )
+from references import plane_conic, same_span
 
 F = GF(32003)
 
@@ -102,7 +102,7 @@ def test_two_route_agreement_beta_and_hypersurface_range():
             s = sample_associated(v, ell, seed=seed)
             push = associated_tangent_pushforward(s, v, seed=seed)
             con = associated_conormal(s, v)
-            assert trace_annihilator(push).same_span(con)
+            assert same_span(trace_annihilator(push), con)
 
 
 def test_pushforward_level_zero_is_variety_tangent():
@@ -136,7 +136,7 @@ def test_conormal_alpha_range_transported_segre():
         s = sample_associated(v, ell, seed=3)
         con = associated_conormal(s, v)
         push = associated_tangent_pushforward(s, v, seed=8)
-        assert trace_annihilator(push).same_span(con)
+        assert same_span(trace_annihilator(push), con)
         for h in con.homs():
             assert h.rank() <= 1
         kernels = [h.kernel_subspace() for h in con.homs()]
@@ -166,7 +166,7 @@ def test_the_closed_form_is_the_jet_probe_conormal_at_every_level(name, field_ta
         for seed in (1, 2):
             s = sample_associated(v, ell, seed=seed)
             push = associated_tangent_pushforward(s, v, seed=seed)
-            assert trace_annihilator(push).same_span(associated_conormal(s, v)), (ell, seed)
+            assert same_span(trace_annihilator(push), associated_conormal(s, v)), (ell, seed)
 
 
 @pytest.mark.parametrize("field", [F, QQ], ids=["fp", "q"])
@@ -329,7 +329,7 @@ def test_pushforward_matches_conormal_at_top_level():
     s = sample_associated(v, 2, seed=9)
     push = associated_tangent_pushforward(s, v, seed=1)
     con = associated_conormal(s, v)
-    assert trace_annihilator(push).same_span(con)
+    assert same_span(trace_annihilator(push), con)
 
 
 def test_a_plane_meeting_the_tangent_space_in_a_line_is_redrawn():

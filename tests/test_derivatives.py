@@ -26,7 +26,8 @@ from grassgeo.osc import ParamCurve, osc_tangent_hom, osculating_space
 from grassgeo.poly import Poly, PolyRing, standard_ring
 from grassgeo.projvar import ProjVariety
 from grassgeo.rng import Stream
-from grassgeo.varieties import fermat_hypersurface, rational_normal_curve, segre
+from grassgeo.varieties import rational_normal_curve, segre
+from references import fermat_hypersurface
 
 F = GF(32003)
 

@@ -89,7 +89,7 @@ def test_verify_contact_theorem_analyses_the_conormal_space_once(monkeypatch):
         multiplicities = _counter(monkeypatch, isoclass, "local_multiplicity")
         schemes = _counter(monkeypatch, isoclass, "hilbert_dim_degree")
         rep = verify_contact_theorem(cfg)
-        assert rep.passed() and rep.verdict == "coisotropic"
+        assert rep.checks.all_ok() and rep.verdict == "coisotropic"
         # one minor ideal, one Hilbert series of it, one solve of its single point
         assert (len(minor_ideals), len(schemes), len(multiplicities)) == (1, 1, 1)
         monkeypatch.undo()

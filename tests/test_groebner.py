@@ -18,7 +18,8 @@ from grassgeo import associated, projvar  # noqa: E402
 from grassgeo.fields import GF, QQ  # noqa: E402
 from grassgeo.groebner import buchberger, eliminate  # noqa: E402
 from grassgeo.poly import DEGREVLEX, LEX, PolyRing  # noqa: E402
-from grassgeo.varieties import plane_conic, quadric_surface, twisted_cubic  # noqa: E402
+from grassgeo.varieties import quadric_surface, twisted_cubic  # noqa: E402
+from references import plane_conic  # noqa: E402
 
 P = 32003
 FIELDS = {"q": QQ, "fp": GF(P)}

@@ -10,12 +10,10 @@ from grassgeo.grassmann import (
     Hom,
     HomSpace,
     adapted_basis,
-    homs_with_kernel_containing,
-    perp_dual,
-    perp_dual_hom,
     subspace_from_rows,
 )
 from grassgeo.isoclass import (
+    CheckList,
     ClassificationReport,
     RankOneLocus,
     alpha_beta_type,
@@ -27,6 +25,7 @@ from grassgeo.isoclass import (
 )
 from grassgeo.linalg import Matrix
 from grassgeo.poly import PolyRing
+from references import homs_with_kernel_containing, perp_dual, perp_dual_hom
 
 
 def perp_dual_space(space: HomSpace) -> HomSpace:
@@ -270,14 +269,23 @@ def test_classification_reports_share_no_mutable_fields():
     first, second = ClassificationReport("coisotropic", 1, 1, 3), ClassificationReport("coisotropic", 1, 1, 3)
     first.flags["strong"] = True
     first.witnesses.append({"lambda": (), "rank": 1, "multiplicity": None})
-    first.check("first only", False)
+    first.checks.add("first only", False)
     assert (second.flags, second.witnesses, second.checks) == ({}, [], [])
-    assert (second.type_tag, second.verdict) == ("none", "inconclusive") and second.passed()
+    assert (second.type_tag, second.verdict) == ("none", "inconclusive") and second.checks.all_ok()
     # classify fills a new report on every call
     a = _line_adapted()
     space = _conormal_space(a, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
     reports = [classify(space, "coisotropic") for _ in range(2)]
-    reports[0].check("first only", False)
-    assert reports[1].passed() and len(reports[1].checks) == len(reports[0].checks) - 1
+    reports[0].checks.add("first only", False)
+    assert reports[1].checks.all_ok() and len(reports[1].checks) == len(reports[0].checks) - 1
     for name in ("flags", "witnesses", "checks"):
         assert getattr(reports[0], name) is not getattr(reports[1], name)
+
+
+def test_check_list_records_checks_in_order_with_text_details():
+    checks = CheckList()
+    assert checks.all_ok() and checks == []
+    assert checks.add("one", 1, 3) == 1
+    assert checks.add("two", 0) == 0
+    assert checks == [{"name": "one", "ok": True, "detail": "3"}, {"name": "two", "ok": False, "detail": ""}]
+    assert not checks.all_ok()

@@ -11,9 +11,10 @@ import random
 
 from grassgeo.associated import chow_hurwitz_ideal
 from grassgeo.fields import GF
-from grassgeo.grassmann import evaluate_pluecker, perp_dual, pluecker_embed, subspace_from_rows
+from grassgeo.grassmann import evaluate_pluecker, pluecker_embed, subspace_from_rows
 from grassgeo.linalg import Matrix
 from grassgeo.varieties import quadric_surface, twisted_cubic
+from references import perp_dual
 
 F = GF(32003)
 

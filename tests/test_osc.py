@@ -7,8 +7,6 @@ from grassgeo.grassmann import (
     HomSpace,
     Subspace,
     adapted_basis,
-    homs_with_image_in,
-    homs_with_kernel_containing,
     subspace_from_rows,
 )
 from grassgeo.linalg import Matrix
@@ -24,6 +22,7 @@ from grassgeo.osc import (
 )
 from grassgeo.poly import PolyRing
 from grassgeo.rng import Stream
+from references import homs_with_image_in, homs_with_kernel_containing
 
 
 # -- references: curve and projection helpers only these tests use -----------------------------------

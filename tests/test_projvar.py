@@ -14,12 +14,11 @@ from grassgeo.projvar import (
 )
 from grassgeo.rng import Stream
 from grassgeo.varieties import (
-    fermat_hypersurface,
-    hypersurface,
     quadric_surface,
     rational_normal_curve,
     twisted_cubic,
 )
+from references import fermat_hypersurface
 
 
 def test_quadric_smooth_point_and_tangent():

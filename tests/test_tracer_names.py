@@ -7,6 +7,9 @@ The tracer also finds each traced module in `sys.modules` right after
 `import grassgeo.cli`, so that import loads every one of them, and it
 loads none of the standard library's heavy introspection modules.  For
 that import to load everything, no function in `grassgeo` imports.
+Every function and class `grassgeo` defines is reached by name from its
+own code, a demo or the tracer; what only the tests call lives in the
+tests (`tests/references.py`).
 """
 
 import ast
@@ -61,3 +64,21 @@ def test_no_function_in_grassgeo_imports():
                 found += ["%s:%d %s" % (path.name, inner.lineno, node.name) for inner in ast.walk(node)
                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def _referenced_names(path):
+    """Every name a file reads: bare names and attribute names (string constants are not references)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_in_grassgeo_is_reached_from_a_command_a_demo_or_the_tracer():
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src" / "grassgeo").glob("*.py"))
+    reached = {name for names in tracer.TRACED.values() for name in names}
+    for path in sources + sorted((root / "demos").glob("*.py")) + [root / "perfbench" / "tracer.py"]:
+        reached |= _referenced_names(path)
+    unreached = ["%s %s" % (path.name, node.name) for path in sources for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in reached]
+    assert unreached == [], unreached
