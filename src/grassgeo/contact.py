@@ -207,10 +207,14 @@ def _solve_direction(parts, span, m, field):
         small, sub = _affine_chart(aring, gens, chart, zero=range(chart + 1, k))
         if any(g.is_constant() for g in sub):
             continue
-        # with no equation left every point of the chart solves: take the one whose free coordinates are 0
-        pts = affine_points_zero_dim(Ideal(small, sub))[0] if sub else [(field.zero,) * chart]
+        if not sub:  # with no equation left every point of the chart solves: take the one whose coordinates are 0
+            return span.apply_row([field.zero] * chart + [field.one] + [field.zero] * (k - 1 - chart))
+        try:
+            pts = affine_points_zero_dim(Ideal(small, sub))[0]
+        except CertificateNotApplicable:  # the slice meets a curve of directions: draw again
+            return None
         if pts:
-            return span.apply_row(list(pts[0]) + [field.one] + [field.zero] * (k - 1 - chart))
+            return span.apply_row(list(pts[0][0]) + [field.one] + [field.zero] * (k - 1 - chart))
     return None
 
 

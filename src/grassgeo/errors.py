@@ -32,14 +32,6 @@ class BudgetExceeded(GrassgeoError, RuntimeError):
     exit_code = 3
 
 
-class NotIsolated(GrassgeoError, ValueError):
-    """Local multiplicity requested at a non-isolated point."""
-
-
-class UnsupportedArity(Unsupported):
-    """Local multiplicity supports at most two local parameters."""
-
-
 class SamplingError(GrassgeoError, RuntimeError):
     """No suitable point/line was found within the retry budget."""
 

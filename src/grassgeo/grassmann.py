@@ -296,9 +296,6 @@ class Hom:
     def rank(self):
         return self.matrix.rank()
 
-    def is_zero(self):
-        return self.matrix.is_zero()
-
     def kernel_subspace(self) -> Subspace:
         """Tangent: kernel inside L.  Conormal: preimage in P^n of the
         quotient kernel (a subspace containing L)."""

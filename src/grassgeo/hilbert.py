@@ -1,23 +1,16 @@
-"""Hilbert series, projective dimension/degree, local multiplicity.
+"""Hilbert series and the projective dimension and degree they give.
 
 The dimension and degree of a homogeneous ideal are read off the
 Hilbert series of its leading-term ideal: with numerator N(t) over
 (1-t)^n and N = (1-t)^r Q, Q(1) != 0, the affine cone has dimension
 n - r, so the projective dimension is n - r - 1 and the degree is
-Q(1).  Local multiplicities are supported in at most two parameters:
-univariate via the valuation of the gcd, bivariate via the staircase
-count of the ideal truncated by increasing powers of the maximal
-ideal (the count stabilizes at the local dimension for isolated
-points and grows without bound otherwise).
+Q(1).  Local multiplicities at points come with the points, from
+`isoclass.affine_points_zero_dim`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
-from . import univariate
-from .errors import NotIsolated, UnsupportedArity
-from .groebner import buchberger, groebner
+from .groebner import groebner
 from .poly import Ideal, monomial_divides
 
 
@@ -107,61 +100,3 @@ def hilbert_dim_degree(ideal: Ideal):
     if affine_dim == 0:
         return -1, 0
     return affine_dim - 1, sum(num.values())
-
-
-def _staircase_count(leads, cap):
-    """Number of monomials under the staircase in <= 2 variables."""
-    nv = len(leads[0]) if leads else 2
-    count = 0
-    for a in range(cap + 1):
-        for b in range(cap + 1) if nv == 2 else [0]:
-            e = (a, b) if nv == 2 else (a,)
-            if not any(monomial_divides(l, e) for l in leads):
-                count += 1
-    return count
-
-
-def local_multiplicity(ideal: Ideal, point, cap=24):
-    """Vector-space dimension of the local quotient at the point.
-
-    Supports one or two local parameters.  The point must lie on the
-    zero set; a positive-dimensional component through it raises
-    NotIsolated.
-    """
-    ring = ideal.ring
-    nv = ring.nvars
-    if nv > 2:
-        raise UnsupportedArity("local multiplicity supports at most 2 parameters")
-    pt = [ring.field.of(x) for x in point]
-    for g in ideal.gens:
-        if g.evaluate(pt):
-            raise ValueError("point is not on the zero set")
-    # translate the point to the origin
-    gens = []
-    images = [ring.var(i) + ring.const(pt[i]) for i in range(nv)]
-    for g in ideal.gens:
-        gens.append(g.substitute(ring, images))
-    gens = [g for g in gens if g]
-    if not gens:
-        raise NotIsolated("zero ideal")
-    if nv == 1:
-        v = univariate.valuation(univariate.poly_gcd(gens))
-        if v == 0:
-            raise ValueError("point is not on the zero set")
-        return v
-    prev = None
-    for depth in range(2, cap + 1):
-        trunc = [
-            ring.monomial(e)
-            for e in (
-                tuple(sum(1 for x in c if x == i) for i in range(nv))
-                for c in combinations_with_replacement(range(nv), depth)
-            )
-        ]
-        gb = buchberger(gens + trunc)
-        leads = [g.lead()[0] for g in gb]
-        count = _staircase_count(leads, depth)
-        if prev is not None and count == prev:
-            return count
-        prev = count
-    raise NotIsolated("staircase count did not stabilize (cap %d)" % cap)

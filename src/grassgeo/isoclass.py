@@ -7,7 +7,10 @@ spanning set, the low-dimension fallback, or (for contact-line
 families, via the contact module) the Segre tangency certificate.
 Anything else is reported as inconclusive, never as a refutation.
 A Hom space keeps its minor ideal and rank-one locus, so every check
-that reads them shares one analysis.
+that reads them shares one analysis.  The rank-one locus is solved
+chart by chart by one solver for zero-dimensional ideals in any number
+of variables, which reads the points and their multiplicities off the
+quotient algebra.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from collections import namedtuple
 from math import comb
 
 from . import univariate
-from .errors import CertificateNotApplicable, NotIsolated
+from .errors import CertificateNotApplicable
 from .grassmann import HomSpace
-from .groebner import groebner
-from .hilbert import hilbert_dim_degree, local_multiplicity
+from .groebner import groebner, normal_form
+from .hilbert import hilbert_dim_degree
 from .linalg import Matrix
-from .poly import LEX, Ideal, PolyRing
+from .poly import Ideal, PolyRing, monomial_divides
 
 
 # ---------------------------------------------------------------------------
@@ -35,63 +38,105 @@ def univariate_roots(poly):
 
 
 def affine_points_zero_dim(ideal: Ideal):
-    """Rational points of a zero-dimensional affine ideal in <= 2 vars.
+    """Points of a zero-dimensional affine ideal over the base field, each with its multiplicity.
 
-    Returns (points, complete flag); complete is False when roots fall
-    outside the base field.
+    Returns ((point, multiplicity) list, complete flag).  The quotient
+    R/I has the normal set of the Groebner basis as its basis, and
+    multiplication by x_i acts on it by a matrix M_i; the points are the
+    joint eigenvalues of the M_i, and a point's multiplicity (the
+    dimension of the local quotient there) is the dimension of its joint
+    generalized eigenspace (Cox, Little & O'Shea, Using Algebraic
+    Geometry, ch. 2 and 4; Auzinger & Stetter 1988).  complete is False
+    when points fall outside the base field.  Points come ordered by
+    their last coordinate in `univariate.roots` order, then by the one
+    before it, and so on.  An ideal that is not zero-dimensional raises
+    CertificateNotApplicable.
     """
     ring = ideal.ring
-    nv = ring.nvars
-    if nv == 0:
-        ok = all(not g.constant_coeff() for g in ideal.gens)
-        return ([()] if ok else []), True
-    if nv > 2:
-        raise CertificateNotApplicable("point solver limited to 2 variables")
-    if nv == 1:
-        roots, split = _gcd_roots(ideal.gens)
-        return [(r,) for r in roots], split
-    gb = groebner(ideal, order=LEX)
-    if not gb.gens:
+    field = ring.field
+    if not ideal.gens:
         raise ValueError("zero ideal is not zero-dimensional")
-    # lex with u > v: the last basis element is univariate in v
-    univ = [g for g in gb.gens if all(e[0] == 0 for e in g.terms)]
-    if not univ:
-        raise CertificateNotApplicable("unexpected lex basis shape")
-    vring = PolyRing(ring.field, (ring.vars[1],), ring.order)
-    gv = univ[0].map_to(vring)
-    roots, complete = univariate.split_roots(univariate.coeffs(gv), ring.field)
-    pts = []
-    uring = PolyRing(ring.field, (ring.vars[0],), ring.order)
-    for r in roots:
-        # substitute v = r, solve for u
-        subbed = []
-        for g in gb.gens:
-            img = g.substitute(ring, [ring.var(0), ring.const(r)])
-            if img:
-                subbed.append(img.map_to(uring))
-        if not subbed:
-            raise CertificateNotApplicable("fiber not finite")
-        uroots, usplit = _gcd_roots(subbed)
-        complete = complete and usplit
-        pts.extend((u, r) for u in uroots)
-    return pts, complete
+    if ring.nvars == 1:
+        # the reduced basis is the gcd, and M_0 is its companion matrix
+        found, cofactor = univariate.root_multiplicities(univariate.poly_gcd(ideal.gens), field)
+        return [((r,), mult) for r, mult in found], len(cofactor) == 1
+    gb = groebner(ideal)
+    normal = _normal_set([g.lead()[0] for g in gb.gens], ring.nvars)
+    if not normal:  # the unit ideal
+        return [], True
+    unit = Matrix.identity(field, len(normal))
+    spaces = [((), unit)]  # (the coordinates fixed so far, a basis of their joint generalized eigenspace)
+    for i in reversed(range(ring.nvars)):
+        m_i = _multiplication_matrix(gb, normal, i)
+        roots, _ = univariate.root_multiplicities(_eliminant(m_i), field)
+        shifts = [(r, e, m_i - unit.scale(r)) for r, e in roots]
+        refined = []
+        for coords, basis in spaces:
+            for r, e, shifted in shifts:
+                image = basis
+                for _ in range(e):
+                    image = image @ shifted
+                kept = image.left_nullspace()  # the part of the space that (M_i - r)^e kills
+                if kept.nrows:
+                    refined.append(((r,) + coords, kept @ basis))
+        spaces = refined
+    points = [(coords, basis.nrows) for coords, basis in spaces]
+    return points, sum(mult for _, mult in points) == len(normal)
 
 
-def _gcd_roots(polys):
-    """(distinct roots in the field, whether all roots are there) of the common roots of
-    polys in one variable, read from their monic gcd: the reduced lex basis of their ideal."""
-    gcd = univariate.poly_gcd(polys)
-    if not gcd:
-        raise ValueError("zero ideal is not zero-dimensional")
-    return univariate.split_roots(gcd, polys[0].ring.field)
+def _normal_set(leads, nvars):
+    """{monomial outside the lead ideal: its index}, 1 first; CertificateNotApplicable when infinite."""
+    if any(not any(e) for e in leads):
+        return {}
+    for i in range(nvars):
+        if not any(e[i] == sum(e) for e in leads if e[i]):
+            raise CertificateNotApplicable("ideal is not zero-dimensional")
+    normal = {(0,) * nvars: 0}
+    todo = list(normal)
+    for e in todo:
+        for i in range(nvars):
+            up = e[:i] + (e[i] + 1,) + e[i + 1:]
+            if up not in normal and not any(monomial_divides(lead, up) for lead in leads):
+                normal[up] = len(todo)
+                todo.append(up)
+    return normal
+
+
+def _multiplication_matrix(gb: Ideal, normal, i):
+    """Row j: the normal form of x_i times the j-th normal monomial, on the normal set."""
+    ring = gb.ring
+    zero = ring.field.zero
+    rows = []
+    for e in normal:
+        up = e[:i] + (e[i] + 1,) + e[i + 1:]
+        row = [zero] * len(normal)
+        if up in normal:
+            row[normal[up]] = ring.field.one
+        else:
+            for t, c in normal_form(ring.monomial(up), gb).terms.items():
+                row[normal[t]] = c
+        rows.append(tuple(row))
+    return Matrix._of(ring.field, tuple(rows), len(normal))
+
+
+def _eliminant(m_i: Matrix):
+    """The monic generator of I meet k[x_i], constant term first: the first linear dependence among the
+    images of 1, x_i, x_i^2, ... in the quotient, a Krylov sequence of the unit under M_i."""
+    field, d = m_i.field, m_i.nrows
+    powers = [(field.one,) + (field.zero,) * (d - 1)]
+    for _ in range(d):
+        powers.append((Matrix._of(field, (powers[-1],), d) @ m_i).rows[0])
+    piv, red = Matrix._of(field, tuple(powers), d).transpose().rref()
+    # the pivots are the first len(piv) powers; the next one is their combination in column len(piv)
+    return [-red.rows[j][len(piv)] for j in range(len(piv))] + [field.one]
 
 
 def _affine_chart(ring, gens, chart, zero=()):
     """(chart ring, nonzero images of gens) under x_chart = 1 and x_i = 0 for i in zero.
 
-    The chart ring keeps the other variables in their order.  Setting the
-    variables before the chart to 0 gives each projective point one
-    representative: its first nonzero coordinate is 1.
+    The chart ring keeps the other variables in their order.  Setting to 0
+    the variables whose charts were searched before gives each
+    projective point one representative.
     """
     keep = [v for i, v in enumerate(ring.vars) if i != chart and i not in zero]
     small = PolyRing(ring.field, tuple(keep), ring.order)
@@ -105,7 +150,7 @@ def _affine_chart(ring, gens, chart, zero=()):
 
 
 class RankOneLocus(namedtuple("RankOneLocus", (
-    "points",  # (lambda tuple, Hom matrix, multiplicity or None)
+    "points",  # (lambda tuple, Hom matrix, multiplicity)
     "dim",  # projective dimension of the minor scheme, -1 when it is empty
     "degree",  # its degree, 0 when it is empty
     "complete",  # False when solutions exist outside the field
@@ -120,9 +165,7 @@ class RankOneLocus(namedtuple("RankOneLocus", (
 def rank_one_locus(space: HomSpace) -> RankOneLocus:
     """Projective rank-one elements of the span over the base field.
 
-    Solved once per space and kept on it (`space.rank_one`).  Spans of
-    dimension >= 4 with a zero-dimensional locus are out of the
-    solver's scope and raise CertificateNotApplicable.
+    Solved once per space and kept on it (`space.rank_one`).
     """
     if space.rank_one is None:
         space.rank_one = _solve_rank_one_locus(space)
@@ -146,41 +189,19 @@ def _solve_rank_one_locus(space: HomSpace) -> RankOneLocus:
     dim, deg = hilbert_dim_degree(ideal)
     if dim != 0:
         return RankOneLocus(points=[], dim=dim, degree=deg)
-    pts = []
-    complete = True
-    for chart in range(k):
-        # canonical representatives: first nonzero coordinate = chart position
-        small, sub_gens = _affine_chart(ideal.ring, ideal.gens, chart, zero=range(chart))
-        if any(g.is_constant() for g in sub_gens):
-            continue
-        if len(small.vars) > 2:
-            raise CertificateNotApplicable("rank-one solver limited to spans of dimension <= 3")
-        chart_pts, chart_complete = affine_points_zero_dim(Ideal(small, sub_gens))
-        complete = complete and chart_complete
-        for cp in chart_pts:
-            lam = [fld.zero] * chart + [fld.one] + list(cp)
-            pts.append(tuple(lam))
     out = []
-    for lam in pts:
-        mult = _point_multiplicity(ideal, lam)
-        out.append((lam, space.element(lam), mult))
-    return RankOneLocus(points=out, dim=dim, degree=deg, complete=complete)
-
-
-def _point_multiplicity(ideal: Ideal, lam):
-    """Local multiplicity of the minor scheme at a projective point."""
-    k = len(lam)
-    chart = next(i for i, c in enumerate(lam) if c)
-    fld = ideal.ring.field
-    inv = fld.one / lam[chart]
-    if k > 3:  # the local quotient takes at most two chart variables
-        return None
-    small, gens = _affine_chart(ideal.ring, ideal.gens, chart)
-    point = [lam[i] * inv for i in range(k) if i != chart]
-    try:
-        return local_multiplicity(Ideal(small, gens), point)
-    except NotIsolated:
-        return None
+    found = 0
+    for chart in range(k):
+        # a point's chart is the first one where its coordinate is nonzero, so it is kept there alone
+        small, sub_gens = _affine_chart(ideal.ring, ideal.gens, chart)
+        for cp, mult in affine_points_zero_dim(Ideal(small, sub_gens))[0]:
+            if not any(cp[:chart]):
+                lam = cp[:chart] + (fld.one,) + cp[chart:]
+                out.append((lam, space.element(lam), mult))
+                found += mult
+        if found == deg:  # the multiplicities account for the whole scheme: no point is left, rational or not
+            break
+    return RankOneLocus(points=out, dim=dim, degree=deg, complete=found == deg)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +388,8 @@ def segre_tangency_certificate(space: HomSpace) -> SegreCertificate:
     zero the projection is the identity, and the space itself, with the
     rank-one locus it keeps, is used); the projectivized span must then
     have dimension equal to the reduced Segre codimension.  Multiplicity
-    comes from the local quotient at the unique point (spans of dim <=
-    3), with the Bezout total cross-checked against the Segre degree.
+    comes from the local quotient at the unique point, with the Bezout
+    total cross-checked against the Segre degree.
     """
     k = space.dim
     if k == 0:
@@ -393,14 +414,11 @@ def segre_tangency_certificate(space: HomSpace) -> SegreCertificate:
     pts = [(lam, mult) for lam, _, mult in locus.points]
     unique = len(pts) == 1 and locus.complete
     mult = pts[0][1] if pts else 0
-    if mult is None:
-        # Bezout fallback: proper dimension + unique support
-        mult = deg if unique else None
     total_ok = deg == seg_degree and unique and mult == deg
     return SegreCertificate(
         points=pts,
         unique_point=unique,
-        multiplicity=mult if mult is not None else -1,
+        multiplicity=mult,
         segre_degree=seg_degree,
         bezout_total_ok=bool(total_ok),
         reduced_shape=(nr, nc),

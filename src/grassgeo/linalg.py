@@ -250,9 +250,6 @@ class Matrix:
             x[pc] = red.rows[r][self.ncols]
         return tuple(x)
 
-    def is_zero(self):
-        return all(not x for r in self.rows for x in r)
-
 
 def _eliminate(m, ncols, k, d, den, above):
     """The one elimination pass, in place on the rows m of k's raw scalars: (pivot columns, d, den).

@@ -178,9 +178,6 @@ class Poly:
         self._lt = None
 
     # -- queries ---------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -209,9 +206,6 @@ class Poly:
 
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_coeff(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)

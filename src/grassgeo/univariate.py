@@ -31,20 +31,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .fields import GF, QQ, Fp
 
 
 def _unwrap(field, f):
     """The kernel scalars of f's coefficients, each coerced into field first."""
     return field.kernel.unwrap(map(field.of, f))
-
-
-def _field_of(*polys):
-    """The field of the first coefficient found: F_p for `Fp` elements, else Q."""
-    for f in polys:
-        if f:
-            return GF(f[-1].p) if isinstance(f[-1], Fp) else QQ
-    return QQ
 
 
 def _trim(f):
@@ -98,13 +89,6 @@ def evaluate(f, x):
     return acc
 
 
-def gcd(f, g):
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    field = _field_of(f, g)
-    k = field.kernel
-    return k.wrap(_gcd(_unwrap(field, f), _unwrap(field, g), k))
-
-
 def poly_gcd(polys):
     """Monic gcd of the coefficient lists of one-variable `Poly`s; [] when all are zero."""
     if not polys:
@@ -138,19 +122,6 @@ def root_multiplicities(f, field):
     found = _roots(work, k)
     mults, cofactor = _divide_out(work, found, k)
     return list(zip(k.wrap(found), mults)), k.wrap(cofactor)
-
-
-def split_roots(f, field):
-    """(distinct roots in the order of `roots`, whether f is a product of linear factors) for nonzero f.
-
-    Multiplicities are counted only when f has fewer distinct roots than
-    its degree.
-    """
-    k = field.kernel
-    work = _unwrap(field, f)
-    found = _roots(work, k)
-    split = len(found) == len(work) - 1 or len(_divide_out(work, found, k)[1]) == 1
-    return k.wrap(found), split
 
 
 # ---------------------------------------------------------------------------

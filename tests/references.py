@@ -1,11 +1,16 @@
 """Reference constructions that only the tests use.
 
 Hom transport by an action, the alpha- and beta-spaces, the duality
-L -> Ann(L) on subspaces and Homs, and two stock varieties.  No command
-computes them; the tests check the paper's facts with them.  Test files
-import them as `from references import ...`.
+L -> Ann(L) on subspaces and Homs, two stock varieties, and the local
+multiplicity of an ideal at a point in at most two variables.  No
+command computes them; the tests check the paper's facts and the
+zero-dimensional solver with them.  Test files import them as
+`from references import ...`.
 """
 
+from itertools import combinations_with_replacement
+
+from grassgeo import univariate
 from grassgeo.grassmann import (
     CONORMAL,
     TANGENT,
@@ -16,8 +21,9 @@ from grassgeo.grassmann import (
     adapted_basis,
     stiefel_differential,
 )
+from grassgeo.groebner import buchberger
 from grassgeo.linalg import Matrix
-from grassgeo.poly import standard_ring
+from grassgeo.poly import Ideal, monomial_divides, standard_ring
 from grassgeo.projvar import ProjVariety
 from grassgeo.varieties import rational_normal_curve
 
@@ -120,3 +126,57 @@ def fermat_hypersurface(field, n, degree) -> ProjVariety:
     for x in ring.gens():
         f = f + x**degree
     return ProjVariety(ring, [f])
+
+
+def _staircase_count(leads, cap):
+    """Number of monomials under the staircase in <= 2 variables."""
+    nv = len(leads[0]) if leads else 2
+    count = 0
+    for a in range(cap + 1):
+        for b in range(cap + 1) if nv == 2 else [0]:
+            e = (a, b) if nv == 2 else (a,)
+            if not any(monomial_divides(lead, e) for lead in leads):
+                count += 1
+    return count
+
+
+def local_multiplicity(ideal: Ideal, point, cap=24):
+    """Vector-space dimension of the local quotient at the point, in one or two variables.
+
+    One variable: the valuation at the point of the gcd.  Two: the
+    staircase count of the ideal truncated by increasing powers of the
+    maximal ideal, which stabilizes at the local dimension for an
+    isolated point and grows without bound otherwise.  A point off the
+    zero set, more than two variables and a point that is not isolated
+    raise ValueError.
+    """
+    ring = ideal.ring
+    nv = ring.nvars
+    if nv > 2:
+        raise ValueError("local multiplicity supports at most 2 parameters")
+    pt = [ring.field.of(x) for x in point]
+    for g in ideal.gens:
+        if g.evaluate(pt):
+            raise ValueError("point is not on the zero set")
+    # translate the point to the origin
+    images = [ring.var(i) + ring.const(pt[i]) for i in range(nv)]
+    gens = [g for g in (g.substitute(ring, images) for g in ideal.gens) if g]
+    if not gens:
+        raise ValueError("zero ideal: the point is not isolated")
+    if nv == 1:
+        return univariate.valuation(univariate.poly_gcd(gens))
+    prev = None
+    for depth in range(2, cap + 1):
+        trunc = [
+            ring.monomial(e)
+            for e in (
+                tuple(sum(1 for x in c if x == i) for i in range(nv))
+                for c in combinations_with_replacement(range(nv), depth)
+            )
+        ]
+        leads = [g.lead()[0] for g in buchberger(gens + trunc)]
+        count = _staircase_count(leads, depth)
+        if prev is not None and count == prev:
+            return count
+        prev = count
+    raise ValueError("staircase count did not stabilize (cap %d): the point is not isolated" % cap)

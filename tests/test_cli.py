@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import grassgeo.cli
+import grassgeo.contact
 from grassgeo.cli import main
+from grassgeo.errors import CertificateNotApplicable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,6 +158,43 @@ def test_classify_over_q_survives_first_order_rank_drops(capsys):
     assert all((r["verdict"], r["type"], r["space_dim"]) == ("coisotropic", "beta", 2) for r in reports)
 
 
+def _contact_checks(rep):
+    return [c for r in rep["results"]["reports"] for c in r["checks"]]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_contact_lines_of_a_quintic_fourfold(seed, capsys):
+    # four direction variables per line and three per chart of the rank-one locus
+    argv = ["contact", "--f", "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + x5^5 + x0*x1*x2*x3*x4", "--n", "5", "--m", "5",
+            "--samples", "3", "--seed", str(seed)]
+    code, rep = _run(capsys, argv)
+    checks = _contact_checks(rep)
+    assert code == 0 and rep["ok"] and all(c["ok"] for c in checks)
+    segre = [c["detail"] for c in checks if c["name"] == "Segre multiplicity = m-1"]
+    assert segre == ["mult 4"] * 3
+
+
+def test_a_slice_through_a_curve_of_directions_draws_again(capsys, monkeypatch):
+    # at seed 2 over F_11 a seeded slice meets a curve of directions, which is not an input error
+    refusals = []
+    solve = grassgeo.contact.affine_points_zero_dim
+
+    def counted(ideal):
+        try:
+            return solve(ideal)
+        except CertificateNotApplicable:
+            refusals.append(ideal)
+            raise
+
+    monkeypatch.setattr(grassgeo.contact, "affine_points_zero_dim", counted)
+    argv = ["contact", "--f", "x0^4+x1^4+x2^4+x3^4+x4^4+1*x0*x1*x2*x3", "--n", "4", "--m", "4", "--samples", "3",
+            "--seed", "2", "--field", "fp:11"]
+    code, rep = _run(capsys, argv)
+    checks = _contact_checks(rep)
+    assert code == 0 and rep["ok"] and len(checks) == 21 and all(c["ok"] for c in checks)
+    assert refusals
+
+
 EXIT_CASES = {
     "missing-file": (["chow", "--variety", "/nonexistent/file.json"], 2, "file.json"),
     "bad-poly": (["contact", "--f", "x0^-1", "--n", "3", "--m", "2"], 2, "position"),
@@ -167,12 +206,12 @@ EXIT_CASES = {
     "hurwitz-segre": (["hurwitz", "--variety", "segre-2x4"], 2, "tangency encoding"),
     # rank is read low in characteristic 2 at every point (the twisted cubic reads 1, not 2)
     "polar-degrees-fp2": (["polar-degrees", "--variety", "twisted-cubic", "--field", "fp:2"], 2, "characteristic 2"),
-    # three direction variables per chart: out of the point solver's scope
-    "contact-m5": (
-        ["contact", "--f", "x0^5 + x1^5 + x2^5 + x3^5 + x4^5 + x5^5 + x0*x1*x2*x3*x4",
-         "--n", "5", "--m", "5", "--samples", "1"],
-        2,
-        "2 variables",
+    # the conormal span of a contact line has dimension m - 1; at m = 6 its minor ideal outruns the budget
+    "contact-m6": (
+        ["contact", "--f", "x0^6 + x1^6 + x2^6 + x3^6 + x4^6 + x5^6 + x6^6", "--n", "6", "--m", "6",
+         "--samples", "1"],
+        3,
+        "spent",
     ),
     # over Q with no parametrization there is no point sampler, whatever the seed
     "contact-q-unparametrized": (

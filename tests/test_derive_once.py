@@ -86,12 +86,12 @@ def test_osc_command_evaluates_the_derivative_rows_once_per_sample(tmp_path, mon
 def test_verify_contact_theorem_analyses_the_conormal_space_once(monkeypatch):
     for _, cfg in _contact_lines(3):
         minor_ideals = _counter(monkeypatch, HomSpace, "generic_element_poly_matrix")
-        multiplicities = _counter(monkeypatch, isoclass, "local_multiplicity")
+        solves = _counter(monkeypatch, isoclass, "affine_points_zero_dim")
         schemes = _counter(monkeypatch, isoclass, "hilbert_dim_degree")
         rep = verify_contact_theorem(cfg)
         assert rep.checks.all_ok() and rep.verdict == "coisotropic"
-        # one minor ideal, one Hilbert series of it, one solve of its single point
-        assert (len(minor_ideals), len(schemes), len(multiplicities)) == (1, 1, 1)
+        # one minor ideal, one Hilbert series of it, one solve that finds its single point and multiplicity
+        assert (len(minor_ideals), len(schemes), len(solves)) == (1, 1, 1)
         monkeypatch.undo()
 
 
@@ -296,11 +296,8 @@ def _projected_certificate(space):
     pts = [(lam, mult) for lam, _, mult in locus.points]
     unique = len(pts) == 1 and locus.complete
     mult = pts[0][1] if pts else 0
-    if mult is None:
-        mult = deg if unique else None
     total_ok = deg == seg_degree and unique and mult == deg
-    return SegreCertificate(pts, unique, mult if mult is not None else -1, seg_degree, bool(total_ok), (nr, nc),
-                            common.nrows)
+    return SegreCertificate(pts, unique, mult, seg_degree, bool(total_ok), (nr, nc), common.nrows)
 
 
 def _certificate_or_refusal(space):

@@ -5,14 +5,16 @@ from itertools import combinations
 import pytest
 
 from grassgeo import univariate
-from grassgeo.errors import FieldMismatch, UnsupportedArity
+from grassgeo.errors import FieldMismatch
 from grassgeo.fields import GF, QQ, Fp, is_prime
 from grassgeo.groebner import buchberger, eliminate, groebner, normal_form
-from grassgeo.hilbert import _numerator, hilbert_dim_degree, local_multiplicity
+from grassgeo.hilbert import _numerator, hilbert_dim_degree
+from grassgeo.isoclass import affine_points_zero_dim
 from grassgeo.jets import JetRing
 from grassgeo.linalg import Matrix
 from grassgeo.poly import DEGREVLEX, LEX, Ideal, PolyRing
 from grassgeo.varieties import segre
+from references import local_multiplicity
 
 
 F = GF(101)
@@ -335,6 +337,9 @@ def test_hilbert_rejects_inhomogeneous():
         hilbert_dim_degree(Ideal(R, [x0**2 - x1]))
 
 
+# -- the local-multiplicity oracle (tests/references.py) and the solver on the classical cases ----------
+
+
 def test_local_multiplicity_univariate():
     R = _ring("t")
     t = R.var(0)
@@ -350,16 +355,14 @@ def test_local_multiplicity_bivariate():
     i = Ideal(R, [s**2, s * t, t**2])
     assert local_multiplicity(i, [QQ.of(0), QQ.of(0)]) == 3
     node = Ideal(R, [s * t])
-    from grassgeo.errors import NotIsolated
-
-    with pytest.raises(NotIsolated):
+    with pytest.raises(ValueError, match="not isolated"):
         local_multiplicity(node, [QQ.of(0), QQ.of(0)], cap=8)
 
 
 def test_local_multiplicity_arity_guard():
     R = _ring("a", "b", "c")
     a, b, c = R.gens()
-    with pytest.raises(UnsupportedArity):
+    with pytest.raises(ValueError, match="at most 2"):
         local_multiplicity(Ideal(R, [a, b, c]), [QQ.of(0)] * 3)
 
 
@@ -388,20 +391,21 @@ def test_eliminate_then_hilbert_matches_substitution_oracle():
     assert (dim, deg) == (1, 2)
 
 
-def test_local_multiplicity_classical_plane_curves():
-    R = _ring("s", "t")
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+def test_local_multiplicity_classical_plane_curves(field):
+    R = _ring("s", "t", field=field)
     s, t = R.gens()
-    # tangent conic against its tangent line: contact of order 2
-    assert local_multiplicity(Ideal(R, [t - s**2, t]), [QQ.of(0), QQ.of(0)]) == 2
-    # cusp against a transverse line through the singular point
-    assert local_multiplicity(Ideal(R, [s**3 - t**2, t]), [QQ.of(0), QQ.of(0)]) == 3
-    # node against a generic line: multiplicity 2
-    assert local_multiplicity(Ideal(R, [s * t, s - t]), [QQ.of(0), QQ.of(0)]) == 2
-    # shifted point
-    assert (
-        local_multiplicity(Ideal(R, [(s - 1) ** 2, (s - 1) * (t - 2), (t - 2) ** 2]), [QQ.of(1), QQ.of(2)])
-        == 3
-    )
+    cases = [
+        ([t - s**2, t], (0, 0), 2),  # tangent conic against its tangent line: contact of order 2
+        ([s**3 - t**2, t], (0, 0), 3),  # cusp against a transverse line through the singular point
+        ([s * t, s - t], (0, 0), 2),  # node against a generic line
+        ([(s - 1) ** 2, (s - 1) * (t - 2), (t - 2) ** 2], (1, 2), 3),  # a shifted point
+    ]
+    for gens, point, mult in cases:
+        point = tuple(field.of(c) for c in point)
+        assert local_multiplicity(Ideal(R, gens), point) == mult
+        # the solver reads the same multiplicity off the quotient algebra, and finds no other point
+        assert affine_points_zero_dim(Ideal(R, gens)) == ([(point, mult)], True)
 
 
 def test_hilbert_unit_ideal():

@@ -8,8 +8,8 @@ The tracer also finds each traced module in `sys.modules` right after
 loads none of the standard library's heavy introspection modules.  For
 that import to load everything, no function in `grassgeo` imports.
 Every function and class `grassgeo` defines is reached by name from its
-own code, a demo or the tracer; what only the tests call lives in the
-tests (`tests/references.py`).
+own code outside its own body, a demo or the tracer; what only the
+tests call lives in the tests (`tests/references.py`).
 """
 
 import ast
@@ -18,6 +18,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,19 +67,26 @@ def test_no_function_in_grassgeo_imports():
     assert found == []
 
 
-def _referenced_names(path):
-    """Every name a file reads: bare names and attribute names (string constants are not references)."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, (ast.Name, ast.Attribute))}
+def _referenced_names(tree):
+    """How often a syntax tree reads each name: bare names and attribute names (string constants are not
+    references)."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
 def test_every_definition_in_grassgeo_is_reached_from_a_command_a_demo_or_the_tracer():
     root = Path(__file__).resolve().parents[1]
     sources = sorted((root / "src" / "grassgeo").glob("*.py"))
-    reached = {name for names in tracer.TRACED.values() for name in names}
-    for path in sources + sorted((root / "demos").glob("*.py")) + [root / "perfbench" / "tracer.py"]:
-        reached |= _referenced_names(path)
-    unreached = ["%s %s" % (path.name, node.name) for path in sources for node in ast.walk(ast.parse(path.read_text()))
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sources + sorted((root / "demos").glob("*.py")) + [root / "perfbench" / "tracer.py"]}
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(_referenced_names(tree))
+    traced = {name for names in tracer.TRACED.values() for name in names}
+    # a read inside the definition's own body does not reach it: a method that calls its namesake on
+    # another class, or a function that only calls itself, is reached by neither
+    unreached = ["%s %s" % (path.name, node.name) for path in sources for node in ast.walk(trees[path])
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                 and not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in reached]
+                 and not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in traced
+                 and reads[node.name] <= _referenced_names(node)[node.name]]
     assert unreached == [], unreached

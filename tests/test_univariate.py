@@ -17,7 +17,7 @@ def quo_rem(f, g):
     """(q, r) with f = q*g + r and deg r < deg g, for nonzero g."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    field = U._field_of(g)
+    field = GF(g[-1].p) if isinstance(g[-1], Fp) else QQ
     k = field.kernel
     q, r = U._quo_rem(U._unwrap(field, f), U._unwrap(field, g), k)
     return k.wrap(q), k.wrap(r)
@@ -114,12 +114,13 @@ def test_gcd_and_valuation():
     for field in (QQ, GF(101)):
         R = PolyRing(field, ("t",))
         t = R.var(0)
-        f = U.coeffs(3 * t**2 * (t - 1) * (t - 2))
-        g = U.coeffs(5 * t * (t - 2) * (t + 3))
-        assert U.gcd(f, g) == U.coeffs(t * (t - 2))
-        assert U.gcd(f, []) == U.gcd([], f) == U.coeffs(t**2 * (t - 1) * (t - 2))
-        assert U.gcd([], []) == []
-        assert U.gcd(f, U.coeffs(t + 5)) == [field.one]
+        f = 3 * t**2 * (t - 1) * (t - 2)
+        g = 5 * t * (t - 2) * (t + 3)
+        assert U.poly_gcd([f, g]) == U.coeffs(t * (t - 2))
+        assert U.poly_gcd([f, R.zero()]) == U.poly_gcd([R.zero(), f]) == U.coeffs(t**2 * (t - 1) * (t - 2))
+        assert U.poly_gcd([R.zero(), R.zero()]) == U.poly_gcd([]) == []
+        assert U.poly_gcd([f, t + 5]) == [field.one]
+        f, g = U.coeffs(f), U.coeffs(g)
         assert U.valuation(f) == 2 and U.valuation(g) == 1
         assert U.valuation(U.coeffs(t + 5)) == 0 and U.valuation([]) is None
 
@@ -237,7 +238,8 @@ def test_prime_field_univariate_runs_without_fp_arithmetic(count_fp_operators):
     x, y, z = R.gens()
     surface = x**3 + 5 * x * y * z - 7 * y**2 * z + z**3 - 11
     t = PolyRing(field, ("t",)).var(0)
-    polys = [U.coeffs((t - 3) ** 2 * (t - 5) * (t**2 - 7) * t), U.coeffs(t**2 - 2)]
+    common = [(t - 3) ** 2 * (t - 5) * (t**2 - 7) * t, (t - 3) * (t + 5) * t]
+    polys = [U.coeffs(common[0]), U.coeffs(t**2 - 2)]
     polys += [_random_poly(rng, field, degree) for degree in range(1, 7)]
     points = [[field.random(rng) for _ in range(3)] for _ in range(4)]
     calls = count_fp_operators()
@@ -246,7 +248,7 @@ def test_prime_field_univariate_runs_without_fp_arithmetic(count_fp_operators):
         U.root_multiplicities(f, field)
     U.restrict(surface, points[0], points[1])
     U.restrict(surface, [1, 2, 3], [4, 5, 6])
-    U.gcd(polys[0], polys[2])
+    U.poly_gcd(common)
     quo_rem(polys[0], polys[3])
     assert calls == []
 
